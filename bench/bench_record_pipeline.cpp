@@ -1,21 +1,13 @@
 // Offline record pipeline throughput: records/sec of the single-thread
-// read -> LET/WHERE -> aggregate path, comparing
+// read -> LET/WHERE -> aggregate batch path (the reader fills RecordBatches
+// resolved once per attribute definition, the processor runs the batched
+// LET -> filter -> probe pipeline), plus its sort-spill overhead under a
+// memory budget. Emits the measurement as JSON to stdout and to
+// BENCH_record_pipeline.json (perf trajectory).
 //
-//   name path  — legacy per-record resolution: the reader emits name-based
-//                RecordMaps and the processor resolves every attribute of
-//                every record against the registry (process_offline shim);
-//   id path    — resolve-once pipeline: the reader resolves each attribute
-//                name once at its definition line and streams id-based
-//                records straight into the aggregation database.
-//
-// Both paths run the same query over the same generated ParaDiS-sim
-// dataset and must render byte-identical output. Emits the measurement as
-// JSON to stdout and to BENCH_record_pipeline.json (perf trajectory).
-//
-// A second section measures raw .cali ingest on one large file — getline
-// (istream) vs the zero-copy mmap buffer vs the read() fallback, plus the
-// parallel engine at t1/t2/t4 over byte-range morsels — and writes
-// BENCH_io.json.
+// A second section measures raw .cali ingest on one large file — the
+// zero-copy mmap buffer vs the read() fallback, plus the parallel engine
+// at t1/t2/t4 over byte-range morsels — and writes BENCH_io.json.
 //
 // Environment knobs:
 //   CALIB_BENCH_RP_FILES    input files                  (default 4)
@@ -46,38 +38,6 @@ struct Measurement {
     std::uint64_t records = 0;
     std::string output;
 };
-
-Measurement run_name_path(const QuerySpec& spec,
-                          const std::vector<std::string>& files) {
-    Measurement m;
-    const std::uint64_t t0 = now_ns();
-    QueryProcessor proc(spec);
-    for (const std::string& file : files)
-        CaliReader::read_file(file,
-                              [&proc](RecordMap&& r) { proc.add(r); });
-    std::ostringstream os;
-    proc.write(os);
-    m.wall_s  = static_cast<double>(now_ns() - t0) * 1e-9;
-    m.records = proc.num_records_in();
-    m.output  = os.str();
-    return m;
-}
-
-Measurement run_id_path(const QuerySpec& spec,
-                        const std::vector<std::string>& files) {
-    Measurement m;
-    const std::uint64_t t0 = now_ns();
-    QueryProcessor proc(spec);
-    for (const std::string& file : files)
-        CaliReader::read_file(file, *proc.registry(),
-                              [&proc](IdRecord&& r) { proc.add(std::move(r)); });
-    std::ostringstream os;
-    proc.write(os);
-    m.wall_s  = static_cast<double>(now_ns() - t0) * 1e-9;
-    m.records = proc.num_records_in();
-    m.output  = os.str();
-    return m;
-}
 
 /// Columnar path: the reader fills RecordBatches and the processor runs
 /// the batched LET -> filter -> probe pipeline. With \a budget != 0 the
@@ -118,24 +78,13 @@ template <typename Fn> Measurement best_of(int reps, Fn&& run) {
 // ------------------------------------------------------------ io section
 
 /// Pure ingest: parse every record of \a file into a counting sink.
-Measurement run_ingest_getline(const std::string& file) {
+Measurement run_ingest(const std::string& file) {
     Measurement m;
     const std::uint64_t t0 = now_ns();
     AttributeRegistry registry;
     std::uint64_t n = 0;
-    std::ifstream is(file);
-    CaliReader::read(is, registry, [&n](IdRecord&&) { ++n; });
-    m.wall_s  = static_cast<double>(now_ns() - t0) * 1e-9;
-    m.records = n;
-    return m;
-}
-
-Measurement run_ingest_buffer(const std::string& file) {
-    Measurement m;
-    const std::uint64_t t0 = now_ns();
-    AttributeRegistry registry;
-    std::uint64_t n = 0;
-    CaliReader::read_file(file, registry, [&n](IdRecord&&) { ++n; });
+    CaliReader::read_file_batches(file, registry, RecordBatch::default_rows,
+                                  [&n](RecordBatch& b) { n += b.rows(); });
     m.wall_s  = static_cast<double>(now_ns() - t0) * 1e-9;
     m.records = n;
     return m;
@@ -171,24 +120,19 @@ int run_io_bench(const QuerySpec& spec, int reps) {
     const double file_bytes =
         static_cast<double>(std::filesystem::file_size(file));
 
-    const Measurement getline_m =
-        best_of(reps, [&] { return run_ingest_getline(file); });
-    const Measurement mmap_m =
-        best_of(reps, [&] { return run_ingest_buffer(file); });
+    const Measurement mmap_m = best_of(reps, [&] { return run_ingest(file); });
     FileBuffer::set_mmap_enabled(false);
-    const Measurement buffer_m =
-        best_of(reps, [&] { return run_ingest_buffer(file); });
+    const Measurement buffer_m = best_of(reps, [&] { return run_ingest(file); });
     FileBuffer::set_mmap_enabled(true);
 
-    const double mmap_speedup = getline_m.wall_s / mmap_m.wall_s;
+    const double mmap_speedup = buffer_m.wall_s / mmap_m.wall_s;
     std::printf("%12s %12s %16s %16s %10s\n", "ingest", "wall (s)",
                 "records/sec", "MB/sec", "speedup");
     const auto print_ingest = [&](const char* name, const Measurement& m) {
         std::printf("%12s %12.5f %16.0f %16.1f %10.2f\n", name, m.wall_s,
                     static_cast<double>(m.records) / m.wall_s,
-                    file_bytes / m.wall_s * 1e-6, getline_m.wall_s / m.wall_s);
+                    file_bytes / m.wall_s * 1e-6, buffer_m.wall_s / m.wall_s);
     };
-    print_ingest("getline", getline_m);
     print_ingest("mmap", mmap_m);
     print_ingest("buffer", buffer_m);
 
@@ -228,10 +172,9 @@ int run_io_bench(const QuerySpec& spec, int reps) {
              << ", \"bytes_per_sec\": " << file_bytes / m.wall_s << "}"
              << (last ? "\n" : ",\n");
     };
-    ingest_json("getline", getline_m, false);
     ingest_json("mmap", mmap_m, false);
     ingest_json("buffer", buffer_m, true);
-    json << "  ],\n  \"mmap_vs_getline_speedup\": " << mmap_speedup
+    json << "  ],\n  \"mmap_vs_buffer_speedup\": " << mmap_speedup
          << ",\n  \"engine\": [\n";
     for (int i = 0; i < 3; ++i)
         json << "    {\"threads\": " << thread_counts[i]
@@ -270,27 +213,19 @@ int main() {
     const QuerySpec spec = parse_calql(
         "AGGREGATE sum(time.inclusive.duration),count GROUP BY kernel,mpi.function");
 
-    const Measurement name_path =
-        best_of(reps, [&] { return run_name_path(spec, files); });
-
     // resolve-once accounting comes from the "reader.*" metrics; enabling
     // them costs one relaxed fetch_add per event, negligible vs. parsing
     calib::obs::set_enabled(true);
     const auto& mreg = calib::obs::MetricsRegistry::instance();
     const std::int64_t res0     = mreg.value("reader.name_resolutions");
     const std::int64_t entries0 = mreg.value("reader.entries");
-    const Measurement id_path =
-        best_of(reps, [&] { return run_id_path(spec, files); });
+    const Measurement batched_path =
+        best_of(reps, [&] { return run_batched_path(spec, files, 1024, 0); });
     // accumulated over reps; the ratio below is rep-invariant
     const std::int64_t name_resolutions =
         mreg.value("reader.name_resolutions") - res0;
     const std::int64_t entries = mreg.value("reader.entries") - entries0;
     calib::obs::set_enabled(false);
-
-    // columnar batch path (PR 7): same query, same files, RecordBatch
-    // morsels through the vectorized probe; must stay byte-identical
-    const Measurement batched_path =
-        best_of(reps, [&] { return run_batched_path(spec, files, 1024, 0); });
 
     // sort-spill: high-cardinality GROUP BY * under a 64 KiB budget vs
     // unbounded (spill overhead series; group set exceeds the budget)
@@ -301,32 +236,21 @@ int main() {
     const Measurement spill_path = best_of(
         reps, [&] { return run_batched_path(star_spec, files, 1024, 64 * 1024); });
 
-    const bool identical  = name_path.output == id_path.output &&
-                            id_path.output == batched_path.output;
-    const double name_rps = static_cast<double>(name_path.records) / name_path.wall_s;
-    const double id_rps   = static_cast<double>(id_path.records) / id_path.wall_s;
     const double batched_rps =
         static_cast<double>(batched_path.records) / batched_path.wall_s;
-    const double speedup         = name_path.wall_s / id_path.wall_s;
-    const double batched_speedup = name_path.wall_s / batched_path.wall_s;
-    const double spill_overhead  = spill_path.wall_s / inmem_path.wall_s;
-    // resolutions per entry on the id path (resolve-once contract: ≪ 1)
+    const double spill_overhead = spill_path.wall_s / inmem_path.wall_s;
+    // resolutions per entry (resolve-once contract: << 1)
     const double res_per_entry =
         static_cast<double>(name_resolutions) / static_cast<double>(entries);
 
-    std::printf("%12s %12s %16s %10s\n", "path", "wall (s)", "records/sec",
-                "speedup");
-    std::printf("%12s %12.5f %16.0f %10s\n", "name", name_path.wall_s, name_rps, "1.00");
-    std::printf("%12s %12.5f %16.0f %10.2f\n", "id", id_path.wall_s, id_rps, speedup);
-    std::printf("%12s %12.5f %16.0f %10.2f\n", "batched", batched_path.wall_s,
-                batched_rps, batched_speedup);
-    std::printf("# identical output: %s\n", identical ? "yes" : "NO");
+    std::printf("%12s %12s %16s\n", "path", "wall (s)", "records/sec");
+    std::printf("%12s %12.5f %16.0f\n", "batched", batched_path.wall_s, batched_rps);
     std::printf("# spill (GROUP BY *, 64 KiB budget): in-memory %.5fs, "
                 "spilled %.5fs (%.2fx overhead)\n",
                 inmem_path.wall_s, spill_path.wall_s, spill_overhead);
     std::printf("# reader: %llu records, %lld entries, %lld name resolutions "
                 "(%.6f per entry)\n",
-                static_cast<unsigned long long>(id_path.records),
+                static_cast<unsigned long long>(batched_path.records),
                 static_cast<long long>(entries),
                 static_cast<long long>(name_resolutions), res_per_entry);
 
@@ -334,19 +258,12 @@ int main() {
     json << "{\n  \"bench\": \"record_pipeline\",\n  " << meta_json()
          << ",\n"
          << "  \"files\": " << nfiles << ",\n"
-         << "  \"records\": " << id_path.records << ",\n  \"results\": [\n"
-         << "    {\"path\": \"name\", \"wall_s\": " << name_path.wall_s
-         << ", \"records_per_sec\": " << name_rps << ", \"speedup\": 1.0},\n"
-         << "    {\"path\": \"id\", \"wall_s\": " << id_path.wall_s
-         << ", \"records_per_sec\": " << id_rps << ", \"speedup\": " << speedup
-         << "},\n"
+         << "  \"records\": " << batched_path.records << ",\n  \"results\": [\n"
          << "    {\"path\": \"batched\", \"wall_s\": " << batched_path.wall_s
-         << ", \"records_per_sec\": " << batched_rps
-         << ", \"speedup\": " << batched_speedup << "}\n  ],\n"
+         << ", \"records_per_sec\": " << batched_rps << "}\n  ],\n"
          << "  \"spill\": {\"inmem_wall_s\": " << inmem_path.wall_s
          << ", \"spill_wall_s\": " << spill_path.wall_s
          << ", \"overhead\": " << spill_overhead << "},\n"
-         << "  \"identical_output\": " << (identical ? "true" : "false") << ",\n"
          << "  \"reader_name_resolutions\": " << name_resolutions << ",\n"
          << "  \"reader_entries\": " << entries << ",\n"
          << "  \"resolutions_per_entry\": " << res_per_entry << "\n}\n";
@@ -357,6 +274,5 @@ int main() {
 
     std::filesystem::remove_all(dir);
 
-    const int io_rc = run_io_bench(spec, reps);
-    return identical ? io_rc : 1;
+    return run_io_bench(spec, reps);
 }

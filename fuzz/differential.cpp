@@ -79,7 +79,7 @@ struct EngineRun {
 EngineRun run_engine(const QuerySpec& spec, const std::string& path,
                      std::size_t threads, bool use_mmap,
                      std::size_t morsel_bytes, std::size_t flush_limit,
-                     bool batched, std::size_t batch_size,
+                     std::size_t batch_size,
                      std::size_t memory_budget,
                      engine::MergeStrategy strategy =
                          engine::MergeStrategy::Adaptive) {
@@ -87,7 +87,7 @@ EngineRun run_engine(const QuerySpec& spec, const std::string& path,
     run.label = "t" + std::to_string(threads) + (use_mmap ? "/mmap" : "/read") +
                 "/m" + std::to_string(morsel_bytes) +
                 (flush_limit ? "/flush" : "") +
-                (batched ? "/b" + std::to_string(batch_size) : "/rec") +
+                "/b" + std::to_string(batch_size) +
                 (memory_budget ? "/spill" : "");
     if (strategy != engine::MergeStrategy::Adaptive)
         run.label += std::string("/") + engine::merge_strategy_name(strategy);
@@ -99,7 +99,6 @@ EngineRun run_engine(const QuerySpec& spec, const std::string& path,
         opts.bytes_per_morsel = morsel_bytes;
         if (flush_limit)
             opts.max_partial_entries = flush_limit;
-        opts.batched    = batched;
         opts.batch_size = batch_size;
         // explicit (not the SIZE_MAX sentinel), so CALIB_AGG_MEM in the
         // environment cannot perturb fuzz determinism; same for the merge
@@ -240,13 +239,13 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
                    corpus.cali_text);
 
     // the engine family: 3 thread counts x 2 I/O paths, one morsel plan,
-    // batched execution at the default batch size
+    // the default batch size
     std::vector<EngineRun> runs;
     for (std::size_t threads : {std::size_t(1), std::size_t(2), std::size_t(4)})
         for (bool use_mmap : {true, false})
             runs.push_back(run_engine(spec, input.path(), threads, use_mmap,
                                       morsel_bytes, flush_limit,
-                                      /*batched=*/true, 1024,
+                                      /*batch_size=*/1024,
                                       /*memory_budget=*/0));
     // merge-strategy matrix: every phase-2 strategy must be byte-identical
     // to the adaptive head at every thread count (the strategies realize
@@ -260,11 +259,13 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
              {std::size_t(1), std::size_t(2), std::size_t(4)})
             runs.push_back(run_engine(spec, input.path(), threads,
                                       /*use_mmap=*/true, morsel_bytes,
-                                      flush_limit, /*batched=*/true, 1024,
+                                      flush_limit, /*batch_size=*/1024,
                                       /*memory_budget=*/0, strategy));
-    // batch-size invariance family: the record-at-a-time shim and forced
-    // tiny batch sizes must be byte-identical to the batched default (the
-    // columnar-pipeline claim). Early flush triggers at batch — not record —
+    // batch-size invariance family: one-row batches (at one and two
+    // threads) and other forced tiny batch sizes must be byte-identical to
+    // the 1024-row default (the columnar-pipeline claim: results do not
+    // depend on where batches are cut). Early flush triggers at batch — not
+    // record —
     // granularity, so its cut points move with the batch size and regroup
     // floating-point reductions; this family therefore always runs with
     // early flush off, joining the base family directly when the case's
@@ -273,14 +274,14 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     std::vector<EngineRun>& famB = flush_limit == 0 ? runs : batch_runs;
     if (flush_limit != 0)
         famB.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes, 0,
-                                  /*batched=*/true, 1024, 0));
+                                  /*batch_size=*/1024, 0));
     famB.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes, 0,
-                              /*batched=*/false, 0, 0));
+                              /*batch_size=*/1, 0));
     famB.push_back(run_engine(spec, input.path(), 2, true, morsel_bytes, 0,
-                              /*batched=*/false, 0, 0));
-    for (std::size_t bs : {std::size_t(1), std::size_t(2), std::size_t(7)})
+                              /*batch_size=*/1, 0));
+    for (std::size_t bs : {std::size_t(2), std::size_t(7)})
         famB.push_back(run_engine(spec, input.path(), bs == 7 ? 4 : 1, true,
-                                  morsel_bytes, 0, /*batched=*/true, bs, 0));
+                                  morsel_bytes, 0, bs, 0));
 
     auto compare_family = [&](const std::vector<EngineRun>& family) {
         const EngineRun& head = family.front();
@@ -314,12 +315,12 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     // tolerant oracle below), not byte-compared against the unspilled base.
     std::vector<EngineRun> spill_runs;
     spill_runs.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes, 0,
-                                    /*batched=*/true, 1024,
+                                    /*batch_size=*/1024,
                                     /*memory_budget=*/1));
     spill_runs.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes, 0,
-                                    /*batched=*/false, 0, 1));
+                                    /*batch_size=*/1, 1));
     spill_runs.push_back(run_engine(spec, input.path(), 4, false, morsel_bytes, 0,
-                                    /*batched=*/true, 7, 1));
+                                    /*batch_size=*/7, 1));
     compare_family(spill_runs);
 
     // radix under spill: the spill run boundaries depend on the insertion
@@ -329,7 +330,7 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     for (std::size_t threads : {std::size_t(1), std::size_t(4)})
         radix_spill_runs.push_back(
             run_engine(spec, input.path(), threads, true, morsel_bytes, 0,
-                       /*batched=*/true, 1024, /*memory_budget=*/1,
+                       /*batch_size=*/1024, /*memory_budget=*/1,
                        engine::MergeStrategy::Radix));
     compare_family(radix_spill_runs);
 

@@ -2,15 +2,16 @@
 //
 // For each seed the runner generates a corpus and a batch of queries,
 // executes every query through the full engine matrix — serial
-// QueryProcessor, ParallelQueryProcessor at 1/2/4 threads, mmap and
-// read()-fallback I/O, with and without forced early flushes, batched
-// (default plus forced tiny batch sizes 1/2/7) and record-at-a-time
-// pipelines, and a forced-spill family under a 1-byte aggregation
-// memory budget — and checks three independent properties:
+// QueryProcessor (RecordMap input through RecordMapFeeder),
+// ParallelQueryProcessor at 1/2/4 threads, mmap and read()-fallback I/O,
+// with and without forced early flushes, the default batch size plus
+// forced tiny batch sizes 1/2/7 (one-row batches at 1 and 2 threads), and
+// a forced-spill family under a 1-byte aggregation memory budget — and
+// checks three independent properties:
 //
 //   1. engine-family determinism: every parallel configuration sharing a
 //      morsel plan produces byte-identical formatted output — including
-//      record-at-a-time vs any batch size (at a fixed early-flush plan;
+//      one-row batches vs any batch size (at a fixed early-flush plan;
 //      flush cuts at batch granularity, so the batch-size family runs
 //      with flush off); the forced-spill family is byte-compared within
 //      itself (spilled merges may regroup floating-point additions, so

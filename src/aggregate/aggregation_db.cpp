@@ -224,7 +224,7 @@ void AggregationDB::set_memory_budget(std::size_t bytes) {
     }
     // deterministic entry-count threshold derived from the configuration
     // alone (never allocator state), so every run over equal input spills
-    // at identical record boundaries — batched or record-at-a-time
+    // at identical record boundaries, whatever the batch size
     const std::size_t est_key =
         config_.key.all ? 8
                         : std::max<std::size_t>(std::size_t(1),
@@ -529,7 +529,7 @@ void AggregationDB::process_batch(const RecordBatch& batch,
         const RowKey rk = row_keys_[ki++];
         if (rk.len == UINT32_MAX) {
             // overflow rows keep their exact record; oversized conforming
-            // rows materialize, then process() truncates like the shim
+            // rows materialize, then process() truncates them
             if (batch.is_overflow(r)) {
                 process(batch.overflow_record(r).span());
             } else {
@@ -563,15 +563,6 @@ void AggregationDB::process_batch(const RecordBatch& batch,
         }
     }
     aggdb_records.add(direct);
-}
-
-void AggregationDB::process_offline(const RecordMap& record) {
-    SnapshotRecord rec;
-    for (const auto& [name, value] : record) {
-        Attribute a = registry_->create(name, value.type());
-        rec.append(a.id(), value);
-    }
-    process(rec);
 }
 
 std::size_t AggregationDB::find_or_insert(const Entry* key, std::size_t key_len,

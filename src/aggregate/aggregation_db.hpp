@@ -26,8 +26,8 @@
 //     are sorted by key and appended to a temp spill file as one run, and
 //     the table restarts empty. flush()/serialize() then merge groups
 //     across runs (plus the live table) with one cursor per run. The
-//     spill trigger is a deterministic entry-count threshold, so batched
-//     and record-at-a-time runs spill at identical record boundaries.
+//     spill trigger is a deterministic entry-count threshold, so runs
+//     with any batch size spill at identical record boundaries.
 #pragma once
 
 #include "kernel.hpp"
@@ -75,14 +75,14 @@ public:
         process(std::span<const Entry>(record.begin(), record.size()));
     }
 
-    /// Fold one id-based offline record (resolve-once reader output).
+    /// Fold one id-based record (a daemon fold, a batch overflow row).
     void process(const IdRecord& record) { process(record.span()); }
 
     /// Fold the selected rows of a record batch (columnar hot path): key
     /// and op attributes resolve to columns once, then a tight probe +
     /// per-column update loop runs over the selection vector. Overflow
     /// rows and rows beyond SnapshotRecord::max_entries fall back to
-    /// process(). Byte-identical to record-at-a-time processing.
+    /// process(). Byte-identical to calling process() per selected row.
     void process_batch(const RecordBatch& batch,
                        std::span<const std::uint32_t> selection);
 
@@ -98,12 +98,6 @@ public:
     /// from insertion order to key-sorted merge order (callers that need
     /// a canonical order sort rows anyway).
     bool spilled() const noexcept { return spill_ != nullptr; }
-
-    /// Compatibility shim for name-based callers: attributes are resolved
-    /// or created in the registry per record, then processed like a
-    /// snapshot. The id-based pipeline (readers emitting IdRecords into
-    /// process()) replaces this on the hot path; prefer it for bulk data.
-    void process_offline(const RecordMap& record);
 
     /// Number of aggregation entries (unique keys seen).
     std::size_t size() const noexcept { return entries_.size(); }

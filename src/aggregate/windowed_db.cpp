@@ -27,44 +27,72 @@ void WindowedAggregator::retire_expired() {
     panes_.erase(panes_.begin(), panes_.lower_bound(live_floor()));
 }
 
-AggregationDB* WindowedAggregator::pane_for(const Variant& timestamp) {
-    const std::optional<std::int64_t> p = pane_index(timestamp, window_.slide());
-    if (!p) {
-        ++dropped_no_time_;
-        return nullptr;
-    }
-    if (watermark_ && *p < live_floor()) {
-        // the pane this record belongs to has already retired; dropping it
+AggregationDB* WindowedAggregator::pane_for(std::int64_t pane) {
+    if (watermark_ && pane < live_floor()) {
+        // the pane this row belongs to has already retired; dropping it
         // here (instead of resurrecting the pane) keeps retirement monotone
         ++dropped_late_;
         return nullptr;
     }
-    auto it = panes_.find(*p);
+    auto it = panes_.find(pane);
     if (it == panes_.end()) {
-        it = panes_.try_emplace(*p, config_, registry_).first;
+        it = panes_.try_emplace(pane, config_, registry_).first;
         if (memory_budget_ > 0)
             it->second.set_memory_budget(memory_budget_);
     }
-    if (!watermark_ || *p > *watermark_) {
-        watermark_ = *p;
+    if (!watermark_ || pane > *watermark_) {
+        watermark_ = pane;
         retire_expired();
     }
     return &it->second;
 }
 
-void WindowedAggregator::process(const IdRecord& record) {
+void WindowedAggregator::process_batch(const RecordBatch& batch,
+                                       std::span<const std::uint32_t> selection) {
     if (time_id_ == invalid_id && resolved_generation_ != registry_->generation()) {
         resolved_generation_ = registry_->generation();
         time_id_             = registry_->find(window_.time_attribute()).id();
     }
-    const Variant ts = time_id_ != invalid_id ? record.get(time_id_) : Variant();
-    if (AggregationDB* pane = pane_for(ts))
-        pane->process(record);
-}
-
-void WindowedAggregator::process_offline(const RecordMap& record) {
-    if (AggregationDB* pane = pane_for(record.get(window_.time_attribute())))
-        pane->process_offline(record);
+    const std::int32_t tcol =
+        time_id_ == invalid_id ? -1 : batch.column_index(time_id_);
+    // the open run: consecutive rows of pane run_pane, all accepted (the
+    // watermark can only move when a different pane is looked up)
+    AggregationDB* run_db = nullptr;
+    std::int64_t run_pane = 0;
+    const auto close_run  = [&] {
+        if (run_db && !run_.empty())
+            run_db->process_batch(batch, run_);
+        run_.clear();
+        run_db = nullptr;
+    };
+    for (const std::uint32_t r : selection) {
+        Variant ts;
+        if (batch.is_overflow(r)) {
+            if (time_id_ != invalid_id)
+                ts = batch.overflow_record(r).get(time_id_);
+        } else if (tcol >= 0) {
+            const RecordBatch::Column& c =
+                batch.column_at(static_cast<std::size_t>(tcol));
+            if (c.valid[r])
+                ts = c.values[r];
+        }
+        const std::optional<std::int64_t> p = pane_index(ts, window_.slide());
+        if (!p) {
+            ++dropped_no_time_;
+            continue;
+        }
+        if (!run_db || *p != run_pane) {
+            // flush before the lookup: advancing the watermark may retire
+            // (and free) the run's pane
+            close_run();
+            run_db   = pane_for(*p);
+            run_pane = *p;
+            if (!run_db)
+                continue;
+        }
+        run_.push_back(r);
+    }
+    close_run();
 }
 
 std::size_t WindowedAggregator::entries() const noexcept {

@@ -22,7 +22,7 @@
 #include "window.hpp"
 
 #include "../common/attribute.hpp"
-#include "../common/idrecord.hpp"
+#include "../common/recordbatch.hpp"
 #include "../common/recordmap.hpp"
 
 #include <cstddef>
@@ -45,13 +45,15 @@ public:
     WindowedAggregator(WindowedAggregator&&) noexcept            = default;
     WindowedAggregator& operator=(WindowedAggregator&&) noexcept = default;
 
-    /// Fold one id-based record into its pane. Records without a usable
-    /// timestamp are counted in dropped_no_time(); records whose pane has
+    /// Fold the selected rows of \a batch into their panes, in selection
+    /// order. Consecutive rows of one pane form a run that goes to that
+    /// pane's AggregationDB::process_batch() before the next pane is
+    /// looked up, so the watermark advances and panes retire at the same
+    /// rows as they would one row at a time. Rows without a usable
+    /// timestamp are counted in dropped_no_time(); rows whose pane has
     /// already retired are counted in dropped_late().
-    void process(const IdRecord& record);
-
-    /// Name-based compatibility path (daemon replay, RecordMap callers).
-    void process_offline(const RecordMap& record);
+    void process_batch(const RecordBatch& batch,
+                       std::span<const std::uint32_t> selection);
 
     /// Total aggregation entries across live panes (early-flush watermark).
     std::size_t entries() const noexcept;
@@ -96,8 +98,9 @@ public:
 private:
     /// Smallest live pane index, given the current watermark.
     std::int64_t live_floor() const noexcept;
-    /// Route a timestamp to its pane, or nullptr when dropped (counted).
-    AggregationDB* pane_for(const Variant& timestamp);
+    /// The database of pane \a pane, created on demand and advancing the
+    /// watermark; nullptr when the pane has already retired (counted).
+    AggregationDB* pane_for(std::int64_t pane);
     void retire_expired();
 
     AggregationConfig config_;
@@ -114,6 +117,7 @@ private:
     std::size_t memory_budget_    = 0;
     std::uint64_t dropped_late_   = 0;
     std::uint64_t dropped_no_time_ = 0;
+    std::vector<std::uint32_t> run_; ///< process_batch pane-run scratch
 };
 
 } // namespace calib

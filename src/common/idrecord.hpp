@@ -4,11 +4,13 @@
 // only lose data).
 //
 // Readers resolve attribute names against a query's AttributeRegistry once
-// per distinct name and emit IdRecords, so everything downstream of the
-// reader boundary — LET evaluation, WHERE filtering, aggregation — works
-// on integer compares. Names reappear only at the result boundary
-// (AggregationDB::flush / QueryProcessor::result), where row counts are
-// small. docs/RECORDS.md describes the contract.
+// per distinct name and fill RecordBatches, whose rows materialize into
+// IdRecords (and which keep rows they cannot store column-wise as
+// IdRecords), so everything downstream of the reader boundary — LET
+// evaluation, WHERE filtering, aggregation — works on integer compares.
+// Names reappear only at the result boundary (AggregationDB::flush /
+// QueryProcessor::result), where row counts are small. docs/RECORDS.md
+// describes the contract.
 #pragma once
 
 #include "attribute.hpp"
@@ -76,8 +78,9 @@ private:
     std::vector<Entry> entries_;
 };
 
-/// Convert back to the name-based representation (result boundary, legacy
-/// sinks). Entries whose attribute is unknown to \a registry are dropped.
+/// Convert back to the name-based representation (result boundary,
+/// name-based readers). Entries whose attribute is unknown to \a registry
+/// are dropped.
 inline RecordMap to_recordmap(const IdRecord& record, const AttributeRegistry& registry) {
     RecordMap out;
     out.reserve(record.size());

@@ -8,9 +8,11 @@
 // aggregation database probes its hash table over the batch with per-column
 // kernel update loops — no per-record Entry vectors on the hot path.
 //
-// Byte-identity with the record-at-a-time shim is non-negotiable (the fuzz
-// differential runner guards it), so the batch preserves *exact* record
-// semantics:
+// RecordBatch is the only shape in which records enter the offline query
+// pipeline (file readers fill it; RecordMap callers go through
+// RecordMapFeeder). Results must not depend on where batches are cut (the
+// fuzz differential runner compares batch sizes 1, 2, 7 and 1024), so the
+// batch preserves *exact* record semantics:
 //
 //   - A row is stored columnar only while its fields hit columns in
 //     strictly increasing column-creation order (the common case: streams
@@ -24,7 +26,7 @@
 //     end-of-record; materialize() reconstructs the original entry order
 //     exactly (non-appended fields in column order, then appended fields
 //     in append order), so truncation at SnapshotRecord::max_entries and
-//     passthrough output match the record path bit for bit.
+//     passthrough output match the record bit for bit.
 #pragma once
 
 #include "attribute.hpp"
@@ -55,6 +57,10 @@ public:
     /// id->column map must stay small); rows carrying one demote to
     /// overflow records. Mirrors the reader's local-id bound.
     static constexpr id_t max_column_attr = 1u << 24;
+
+    /// Rows per batch unless a caller asks otherwise (the engine's
+    /// fallback without CALIB_BATCH_SIZE, RecordMapFeeder's flush size).
+    static constexpr std::size_t default_rows = 1024;
 
     RecordBatch() = default;
 
@@ -97,7 +103,7 @@ public:
     /// Close the current row; returns its entry count.
     std::size_t end_row();
 
-    /// Append a whole record (compatibility path, e.g. the JSON reader).
+    /// Append a whole record as one row.
     void append_record(const IdRecord& rec);
 
     std::size_t rows() const noexcept { return rows_; }

@@ -17,14 +17,14 @@ std::vector<Morsel> make_morsels(const std::vector<std::string>& files,
 
     if (opts.json_input) {
         for (const std::string& f : files)
-            morsels.push_back({Morsel::Kind::JsonFile, f, 0, UINT64_MAX, 0, nullptr});
+            morsels.push_back({Morsel::Kind::JsonFile, f, 0, nullptr});
         engine_morsels.add(morsels.size());
         return morsels;
     }
 
     if (files.size() != 1) {
         for (const std::string& f : files)
-            morsels.push_back({Morsel::Kind::CaliFile, f, 0, UINT64_MAX, 0, nullptr});
+            morsels.push_back({Morsel::Kind::CaliFile, f, 0, nullptr});
         engine_morsels.add(morsels.size());
         return morsels;
     }
@@ -40,13 +40,13 @@ std::vector<Morsel> make_morsels(const std::vector<std::string>& files,
     if (source->chunks().size() <= 1) {
         // too small to split: a whole-file morsel (the serial path re-reads
         // the file; dropping the source unmaps it)
-        morsels.push_back({Morsel::Kind::CaliFile, file, 0, UINT64_MAX, 0, nullptr});
+        morsels.push_back({Morsel::Kind::CaliFile, file, 0, nullptr});
         engine_morsels.add(1);
         engine_morsel_records.record(source->num_records());
         return morsels;
     }
     for (std::size_t i = 0; i < source->chunks().size(); ++i) {
-        morsels.push_back({Morsel::Kind::CaliBytes, file, 0, UINT64_MAX, i, source});
+        morsels.push_back({Morsel::Kind::CaliBytes, file, i, source});
         engine_morsel_records.record(source->chunks()[i].records);
     }
     engine_morsels.add(morsels.size());

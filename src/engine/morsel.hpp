@@ -28,15 +28,12 @@ struct Morsel {
     enum class Kind {
         CaliFile,  ///< a whole .cali stream file
         CaliBytes, ///< one byte-range chunk of a shared CaliFileSource
-        CaliRange, ///< records [begin, end) of a .cali file (legacy split)
         JsonFile,  ///< a whole JSON record-array file
     };
 
     Kind kind = Kind::CaliFile;
     std::string path;
-    std::uint64_t begin = 0;          ///< first record index (CaliRange)
-    std::uint64_t end   = UINT64_MAX; ///< one past the last record index
-    std::size_t chunk   = 0;          ///< chunk index (CaliBytes)
+    std::size_t chunk = 0; ///< chunk index (CaliBytes)
     /// The shared mapped file (CaliBytes); all chunk morsels of one file
     /// point at the same source, so the file is mapped and planned once.
     std::shared_ptr<const CaliFileSource> source;

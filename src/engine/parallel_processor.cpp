@@ -38,16 +38,10 @@ std::size_t clamp_batch_size(std::size_t rows) {
 std::size_t g_default_batch_size = 0; // 0 = unset; fall back to env / 1024
 std::size_t g_default_agg_budget = static_cast<std::size_t>(-1); // unset
 
-void join_globals(IdRecord& record, const IdRecord& globals) {
-    for (const Entry& g : globals)
-        if (!record.contains(g.attribute))
-            record.append(g);
-}
-
-/// Batched twin of join_globals(IdRecord&): conforming rows take the
-/// global through an append-target column (record `append` semantics —
-/// rows already carrying the attribute keep their value), overflow rows go
-/// through the record path verbatim.
+/// Join file-scoped globals onto every row of \a batch: conforming rows
+/// take each global through an append-target column (record `append`
+/// semantics — rows already carrying the attribute keep their value),
+/// overflow rows get it appended to their record.
 void join_globals(RecordBatch& batch, const IdRecord& globals) {
     for (const Entry& g : globals) {
         const std::size_t col = batch.append_target(g.attribute);
@@ -60,6 +54,27 @@ void join_globals(RecordBatch& batch, const IdRecord& globals) {
                 batch.set_row_value(col, r, g.value);
             }
         }
+    }
+}
+
+/// Read one whole .cali file in batches. With \a with_globals, the file's
+/// globals — which may appear anywhere in the stream — are joined onto
+/// every row, so the batches wait for the end of the scan.
+void read_cali_file(const std::string& path, AttributeRegistry& registry,
+                    std::size_t batch_size, bool with_globals,
+                    const CaliReader::BatchSink& sink) {
+    if (!with_globals) {
+        CaliReader::read_file_batches(path, registry, batch_size, sink);
+        return;
+    }
+    IdRecord globals;
+    std::vector<RecordBatch> batches;
+    CaliReader::read_file_batches(
+        path, registry, batch_size,
+        [&batches](RecordBatch& b) { batches.push_back(std::move(b)); }, &globals);
+    for (RecordBatch& b : batches) {
+        join_globals(b, globals);
+        sink(b);
     }
 }
 
@@ -103,8 +118,8 @@ std::size_t default_batch_size() {
         return g_default_batch_size;
     // util::env_size warns on a set-but-unparsable value — the same
     // validation the CLI flag applies, minus the hard error
-    static const std::size_t env =
-        clamp_batch_size(util::env_size("CALIB_BATCH_SIZE", 1024));
+    static const std::size_t env = clamp_batch_size(
+        util::env_size("CALIB_BATCH_SIZE", RecordBatch::default_rows));
     return env;
 }
 
@@ -166,54 +181,13 @@ QueryProcessor& ParallelQueryProcessor::run(const std::vector<std::string>& file
 }
 
 void ParallelQueryProcessor::run_serial(const std::vector<std::string>& files) {
-    if (opts_.batched) {
-        const std::size_t bs = opts_.batch_size;
-        for (const std::string& file : files) {
-            if (opts_.json_input) {
-                read_json_file_batches(file, registry_, bs,
-                                       [this](RecordBatch& b) { root_.add_batch(b); });
-            } else if (opts_.with_globals) {
-                // globals may appear anywhere in the stream, so batches are
-                // buffered until the file is fully scanned
-                IdRecord globals;
-                std::vector<RecordBatch> batches;
-                CaliReader::read_file_batches(
-                    file, registry_, bs,
-                    [&batches](RecordBatch& b) { batches.push_back(std::move(b)); },
-                    &globals);
-                for (RecordBatch& b : batches) {
-                    join_globals(b, globals);
-                    root_.add_batch(b);
-                }
-            } else {
-                CaliReader::read_file_batches(
-                    file, registry_, bs,
-                    [this](RecordBatch& b) { root_.add_batch(b); });
-            }
-        }
-        return;
-    }
+    const std::size_t bs = opts_.batch_size;
+    const auto feed      = [this](RecordBatch& b) { root_.add_batch(b); };
     for (const std::string& file : files) {
-        if (opts_.json_input) {
-            read_json_file(file, registry_,
-                           [this](IdRecord&& r) { root_.add(std::move(r)); });
-        } else if (opts_.with_globals) {
-            // globals may appear anywhere in the stream, so records are
-            // buffered until the file is fully scanned
-            IdRecord globals;
-            std::vector<IdRecord> records;
-            CaliReader::read_file(
-                file, registry_,
-                [&records](IdRecord&& r) { records.push_back(std::move(r)); },
-                &globals);
-            for (IdRecord& r : records) {
-                join_globals(r, globals);
-                root_.add(std::move(r));
-            }
-        } else {
-            CaliReader::read_file(file, registry_,
-                                  [this](IdRecord&& r) { root_.add(std::move(r)); });
-        }
+        if (opts_.json_input)
+            read_json_file_batches(file, registry_, bs, feed);
+        else
+            read_cali_file(file, registry_, bs, opts_.with_globals, feed);
     }
 }
 
@@ -258,72 +232,28 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
                         p.flushed.push_back(std::move(buf));
                 }
             };
-            auto feed = [&proc, &flush_check](IdRecord&& r) {
-                proc.add(std::move(r));
-                flush_check();
-            };
-            auto batch_feed = [&proc, &flush_check](RecordBatch& b) {
+            auto feed = [&proc, &flush_check](RecordBatch& b) {
                 proc.add_batch(b);
                 flush_check();
             };
             const std::size_t bs = opts_.batch_size;
             if (m.kind == Morsel::Kind::JsonFile) {
-                if (opts_.batched)
-                    read_json_file_batches(m.path, registry_, bs, batch_feed);
-                else
-                    read_json_file(m.path, registry_, feed);
+                read_json_file_batches(m.path, registry_, bs, feed);
             } else if (m.kind == Morsel::Kind::CaliBytes) {
                 // the shared source is already mapped and planned; this
                 // worker parses only its own byte span (plus the tiny
                 // attribute-definition prefix)
-                if (opts_.batched) {
-                    if (opts_.with_globals) {
-                        m.source->read_chunk_batches(m.chunk, registry_, bs,
-                                                     [&](RecordBatch& b) {
-                                                         join_globals(b, source_globals);
-                                                         batch_feed(b);
-                                                     });
-                    } else {
-                        m.source->read_chunk_batches(m.chunk, registry_, bs,
-                                                     batch_feed);
-                    }
-                } else if (opts_.with_globals) {
-                    m.source->read_chunk(m.chunk, registry_,
-                                         [&](IdRecord&& r) {
-                                             join_globals(r, source_globals);
-                                             feed(std::move(r));
-                                         });
+                if (opts_.with_globals) {
+                    m.source->read_chunk_batches(m.chunk, registry_, bs,
+                                                 [&](RecordBatch& b) {
+                                                     join_globals(b, source_globals);
+                                                     feed(b);
+                                                 });
                 } else {
-                    m.source->read_chunk(m.chunk, registry_, feed);
+                    m.source->read_chunk_batches(m.chunk, registry_, bs, feed);
                 }
-            } else if (opts_.with_globals) {
-                IdRecord globals;
-                if (opts_.batched) {
-                    std::vector<RecordBatch> batches;
-                    CaliReader::read_file_range_batches(
-                        m.path, m.begin, m.end, registry_, bs,
-                        [&batches](RecordBatch& b) { batches.push_back(std::move(b)); },
-                        &globals);
-                    for (RecordBatch& b : batches) {
-                        join_globals(b, globals);
-                        batch_feed(b);
-                    }
-                } else {
-                    std::vector<IdRecord> records;
-                    CaliReader::read_file_range(
-                        m.path, m.begin, m.end, registry_,
-                        [&records](IdRecord&& r) { records.push_back(std::move(r)); },
-                        &globals);
-                    for (IdRecord& r : records) {
-                        join_globals(r, globals);
-                        feed(std::move(r));
-                    }
-                }
-            } else if (opts_.batched) {
-                CaliReader::read_file_range_batches(m.path, m.begin, m.end, registry_,
-                                                    bs, batch_feed);
             } else {
-                CaliReader::read_file_range(m.path, m.begin, m.end, registry_, feed);
+                read_cali_file(m.path, registry_, bs, opts_.with_globals, feed);
             }
         }));
     }

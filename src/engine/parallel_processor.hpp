@@ -53,12 +53,9 @@ struct EngineOptions {
     /// Early-flush a worker partial exceeding this many aggregation
     /// entries (0 disables).
     std::size_t max_partial_entries = 1u << 20;
-    /// Feed the pipeline in columnar RecordBatch morsels (the batched hot
-    /// path) instead of record-at-a-time. Output bytes are identical either
-    /// way; the fuzz differential runner guards it.
-    bool batched = true;
     /// Rows per RecordBatch; 0 = default_batch_size() (CALIB_BATCH_SIZE or
-    /// 1024). Clamped to [1, 1<<20].
+    /// 1024). Clamped to [1, 1<<20]. Output bytes are identical for every
+    /// batch size; the fuzz differential runner guards it.
     std::size_t batch_size = 0;
     /// Aggregation memory budget in bytes applied to the root processor
     /// (partial aggregates sort-spill to a temp file beyond it; 0 =
@@ -79,8 +76,8 @@ struct EngineOptions {
     std::size_t merge_radix_entries = 0;
 };
 
-/// Process-wide default rows-per-batch for batched execution: the last
-/// set_default_batch_size() value, else CALIB_BATCH_SIZE, else 1024.
+/// Process-wide default rows-per-batch: the last set_default_batch_size()
+/// value, else CALIB_BATCH_SIZE, else RecordBatch::default_rows (1024).
 /// Always in [1, 1<<20].
 std::size_t default_batch_size();
 /// Override the process-wide default (0 restores the env/1024 fallback).

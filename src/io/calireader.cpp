@@ -8,6 +8,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 namespace calib {
@@ -125,18 +126,21 @@ Variant parse_value(Variant::Type type, std::string_view text) {
     return v;
 }
 
-/// Line-level parser shared by every entry point (istream, whole buffer,
-/// byte-range chunk). Holds the per-stream state — the local-id definition
-/// table, a reused record, an unescape scratch buffer — so steady-state
-/// record parsing allocates nothing. Metric deltas accumulate locally and
-/// land on the global "reader.*" counters in one flush_metrics() call.
+/// Line-level parser shared by every entry point (whole buffer, byte-range
+/// chunk). Holds the per-stream state — the local-id definition table, the
+/// record batch its 'R' lines fill, a globals scratch record, an unescape
+/// scratch buffer — so steady-state record parsing allocates nothing.
+/// Metric deltas accumulate locally and land on the global "reader.*"
+/// counters in one flush_metrics() call.
 class CaliParser {
 public:
-    CaliParser(AttributeRegistry& registry, const CaliReader::IdSink& sink,
-               IdRecord* globals, std::uint64_t begin = 0,
-               std::uint64_t end = UINT64_MAX)
-        : registry_(registry), sink_(sink), globals_(globals), begin_(begin),
-          end_(end) {}
+    /// Records append into the parser's batch, handed to \a sink every
+    /// \a cap rows; call finish() after the last line to flush the trailing
+    /// partial batch. 'G' lines accumulate into \a globals (when set).
+    CaliParser(AttributeRegistry& registry, IdRecord* globals, std::size_t cap,
+               const CaliReader::BatchSink& sink)
+        : registry_(registry), globals_(globals), cap_(cap ? cap : 1), sink_(sink),
+          fill_start_(std::chrono::steady_clock::now()) {}
 
     /// Error messages use lineno + 1 for the next line() call — chunk
     /// readers set this so messages carry whole-file line numbers.
@@ -145,21 +149,9 @@ public:
     /// Exclusive-read-time timer to pause around sink calls.
     void set_span(obs::SpanTimer* span) noexcept { span_ = span; }
 
-    /// Switch to batched emission: records append into \a batch and \a sink
-    /// fires every \a cap records. Call finish() after the last line to
-    /// flush the trailing partial batch. Globals still accumulate record-
-    /// at-a-time.
-    void set_batch(RecordBatch& batch, std::size_t cap,
-                   const CaliReader::BatchSink& sink) {
-        batch_     = &batch;
-        batch_cap_ = cap ? cap : 1;
-        bsink_     = &sink;
-        fill_start_ = std::chrono::steady_clock::now();
-    }
-
-    /// Emit a trailing partial batch (batch mode only).
+    /// Emit a trailing partial batch.
     void finish() {
-        if (batch_ && !batch_->empty())
+        if (!batch_.empty())
             emit_batch();
     }
 
@@ -174,12 +166,6 @@ public:
         const char kind = line[0];
         if (line.size() >= 2 && line[1] != ',')
             fail("malformed line");
-        // records outside the requested range are counted but not parsed
-        if (kind == 'R') {
-            const std::uint64_t index = record_index_++;
-            if (index < begin_ || index >= end_)
-                return;
-        }
         // a bare "R" is a legal empty record (snapshot with no entries)
         const std::string_view rest =
             line.size() >= 2 ? line.substr(2) : std::string_view();
@@ -210,13 +196,19 @@ public:
             slot.type       = type;
             slot.has_last   = false; // a redefinition invalidates the memo
         } else if (kind == 'R' || kind == 'G') {
-            // batch mode: record fields go straight into the column
-            // vectors; globals keep the record scratch either way
-            const bool to_batch = batch_ != nullptr && kind == 'R';
-            if (to_batch)
-                batch_->begin_row();
+            // record fields go straight into the batch's column vectors;
+            // globals keep the record scratch
+            const bool row = kind == 'R';
+            if (row)
+                batch_.begin_row();
             else
                 rec_.clear();
+            const auto put = [&](id_t id, const Variant& v) {
+                if (row)
+                    batch_.append(id, v);
+                else
+                    rec_.append(id, v);
+            };
             // single-pass field walk: id digits, '=', value up to the next
             // unescaped ',' — no repeated scans of the same bytes
             const char* p   = rest.data();
@@ -254,11 +246,7 @@ public:
                 }
                 const std::string_view raw(v, static_cast<std::size_t>(q - v));
                 if (a.has_last && raw == a.last_raw) {
-                    // memoized repeat value
-                    if (to_batch)
-                        batch_->append(a.id, a.last_val);
-                    else
-                        rec_.append(a.id, a.last_val);
+                    put(a.id, a.last_val); // memoized repeat value
                 } else {
                     std::string_view text = raw;
                     if (escaped) {
@@ -266,10 +254,7 @@ public:
                         text     = scratch_;
                     }
                     const Variant val = parse_value(a.type, text);
-                    if (to_batch)
-                        batch_->append(a.id, val);
-                    else
-                        rec_.append(a.id, val);
+                    put(a.id, val);
                     // memoize the raw field text for every type: equal raw
                     // bytes parse to an equal value, and numeric columns
                     // (ranks, iteration counters) repeat often too
@@ -279,20 +264,11 @@ public:
                 }
                 p = q < end ? q + 1 : end;
             }
-            if (kind == 'R') {
+            if (row) {
                 ++records_;
-                if (to_batch) {
-                    entries_ += batch_->end_row();
-                    if (batch_->rows() >= batch_cap_)
-                        emit_batch();
-                } else {
-                    entries_ += rec_.size();
-                    if (span_)
-                        span_->pause(); // downstream pipeline time is theirs
-                    sink_(std::move(rec_));
-                    if (span_)
-                        span_->resume();
-                }
+                entries_ += batch_.end_row();
+                if (batch_.rows() >= cap_)
+                    emit_batch();
             } else if (globals_) {
                 for (const Entry& e : rec_)
                     globals_->append(e);
@@ -320,10 +296,10 @@ private:
                 .count()));
         if (span_)
             span_->pause(); // downstream pipeline time is theirs
-        (*bsink_)(*batch_);
+        sink_(batch_);
         if (span_)
             span_->resume();
-        batch_->clear(); // safe after a sink that moved the batch away
+        batch_.clear(); // safe after a sink that moved the batch away
         fill_start_ = std::chrono::steady_clock::now();
     }
 
@@ -343,23 +319,18 @@ private:
     }
 
     AttributeRegistry& registry_;
-    const CaliReader::IdSink& sink_;
     IdRecord* globals_;
-    std::uint64_t begin_, end_;
+    const std::size_t cap_;
+    const CaliReader::BatchSink& sink_;
 
     std::vector<LocalAttr> attrs_; ///< flat table, indexed by local id
-    IdRecord rec_;                 ///< reused record scratch
+    RecordBatch batch_;            ///< rows of the 'R' lines since the last emit
+    IdRecord rec_;                 ///< reused 'G' line scratch
     std::string scratch_;          ///< reused unescape buffer
     obs::SpanTimer* span_ = nullptr;
+    std::chrono::steady_clock::time_point fill_start_;
 
-    // batched emission (set_batch)
-    RecordBatch* batch_                   = nullptr;
-    std::size_t batch_cap_                = 0;
-    const CaliReader::BatchSink* bsink_   = nullptr;
-    std::chrono::steady_clock::time_point fill_start_{};
-
-    std::size_t lineno_         = 0;
-    std::uint64_t record_index_ = 0;
+    std::size_t lineno_ = 0;
     std::uint64_t records_ = 0, entries_ = 0, resolutions_ = 0;
 };
 
@@ -382,89 +353,38 @@ void for_each_line(std::string_view text, Fn&& fn) {
     }
 }
 
-void parse_buffer_range(std::string_view text, std::uint64_t begin,
-                        std::uint64_t end, AttributeRegistry& registry,
-                        const CaliReader::IdSink& sink, IdRecord* globals) {
-    CaliParser parser(registry, sink, globals, begin, end);
-    obs::SpanTimer span(iometrics::read_time);
-    parser.set_span(&span);
-    for_each_line(text, [&parser](std::string_view line) { parser.line(line); });
-    parser.flush_metrics(text.size());
-}
-
-const CaliReader::IdSink& noop_id_sink() {
-    static const CaliReader::IdSink sink = [](IdRecord&&) {};
-    return sink;
-}
-
-void parse_buffer_range_batches(std::string_view text, std::uint64_t begin,
-                                std::uint64_t end, AttributeRegistry& registry,
-                                std::size_t batch_size,
-                                const CaliReader::BatchSink& sink,
-                                IdRecord* globals) {
-    CaliParser parser(registry, noop_id_sink(), globals, begin, end);
-    RecordBatch batch;
-    parser.set_batch(batch, batch_size, sink);
-    obs::SpanTimer span(iometrics::read_time);
-    parser.set_span(&span);
-    for_each_line(text, [&parser](std::string_view line) { parser.line(line); });
-    parser.finish();
-    parser.flush_metrics(text.size());
+/// Name-based delivery over the batch parser: a private registry, each row
+/// materialized and converted back to names.
+void read_names(std::string_view text, const CaliReader::RecordSink& sink,
+                RecordMap* globals) {
+    AttributeRegistry registry;
+    IdRecord g, row;
+    CaliReader::read_buffer_batches(
+        text, registry, RecordBatch::default_rows,
+        [&](RecordBatch& batch) {
+            for (std::size_t r = 0; r < batch.rows(); ++r) {
+                batch.materialize(r, row);
+                sink(to_recordmap(row, registry));
+            }
+        },
+        globals ? &g : nullptr);
+    if (globals)
+        for (const Entry& e : g)
+            globals->append(registry.get(e.attribute).name(), e.value);
 }
 
 } // namespace
-
-void CaliReader::read(std::istream& is, AttributeRegistry& registry,
-                      const IdSink& sink, IdRecord* globals) {
-    read_range(is, 0, UINT64_MAX, registry, sink, globals);
-}
-
-void CaliReader::read_range(std::istream& is, std::uint64_t begin, std::uint64_t end,
-                            AttributeRegistry& registry, const IdSink& sink,
-                            IdRecord* globals) {
-    CaliParser parser(registry, sink, globals, begin, end);
-    obs::SpanTimer span(iometrics::read_time);
-    parser.set_span(&span);
-    std::string line;
-    std::uint64_t nbytes = 0;
-    while (std::getline(is, line)) {
-        // bytes actually consumed: the line (incl. any '\r') plus the '\n'
-        // delimiter — unless this final line was terminated by EOF instead
-        nbytes += line.size() + (is.eof() ? 0 : 1);
-        std::string_view ln(line);
-        if (!ln.empty() && ln.back() == '\r')
-            ln.remove_suffix(1); // CRLF input parses identically
-        parser.line(ln);
-    }
-    parser.flush_metrics(nbytes);
-}
-
-void CaliReader::read_buffer(std::string_view text, AttributeRegistry& registry,
-                             const IdSink& sink, IdRecord* globals) {
-    parse_buffer_range(text, 0, UINT64_MAX, registry, sink, globals);
-}
-
-void CaliReader::read_file(const std::string& path, AttributeRegistry& registry,
-                           const IdSink& sink, IdRecord* globals) {
-    const FileBuffer buf = FileBuffer::open(path);
-    read_buffer(buf.view(), registry, sink, globals);
-}
-
-void CaliReader::read_file_range(const std::string& path, std::uint64_t begin,
-                                 std::uint64_t end, AttributeRegistry& registry,
-                                 const IdSink& sink, IdRecord* globals) {
-    const FileBuffer buf = FileBuffer::open(path);
-    parse_buffer_range(buf.view(), begin, end, registry, sink, globals);
-}
-
-// -- batched entry points ----------------------------------------------------
 
 void CaliReader::read_buffer_batches(std::string_view text,
                                      AttributeRegistry& registry,
                                      std::size_t batch_size,
                                      const BatchSink& sink, IdRecord* globals) {
-    parse_buffer_range_batches(text, 0, UINT64_MAX, registry, batch_size, sink,
-                               globals);
+    CaliParser parser(registry, globals, batch_size, sink);
+    obs::SpanTimer span(iometrics::read_time);
+    parser.set_span(&span);
+    for_each_line(text, [&parser](std::string_view line) { parser.line(line); });
+    parser.finish();
+    parser.flush_metrics(text.size());
 }
 
 void CaliReader::read_file_batches(const std::string& path,
@@ -475,15 +395,29 @@ void CaliReader::read_file_batches(const std::string& path,
     read_buffer_batches(buf.view(), registry, batch_size, sink, globals);
 }
 
-void CaliReader::read_file_range_batches(const std::string& path,
-                                         std::uint64_t begin, std::uint64_t end,
-                                         AttributeRegistry& registry,
-                                         std::size_t batch_size,
-                                         const BatchSink& sink,
-                                         IdRecord* globals) {
+void CaliReader::read(std::istream& is, const RecordSink& sink, RecordMap* globals) {
+    const std::string text{std::istreambuf_iterator<char>(is),
+                           std::istreambuf_iterator<char>()};
+    read_names(text, sink, globals);
+}
+
+std::vector<RecordMap> CaliReader::read_all(std::istream& is, RecordMap* globals) {
+    std::vector<RecordMap> out;
+    read(is, [&out](RecordMap&& r) { out.push_back(std::move(r)); }, globals);
+    return out;
+}
+
+std::vector<RecordMap> CaliReader::read_file(const std::string& path,
+                                             RecordMap* globals) {
+    std::vector<RecordMap> out;
+    read_file(path, [&out](RecordMap&& r) { out.push_back(std::move(r)); }, globals);
+    return out;
+}
+
+void CaliReader::read_file(const std::string& path, const RecordSink& sink,
+                           RecordMap* globals) {
     const FileBuffer buf = FileBuffer::open(path);
-    parse_buffer_range_batches(buf.view(), begin, end, registry, batch_size,
-                               sink, globals);
+    read_names(buf.view(), sink, globals);
 }
 
 // -- byte-range source -------------------------------------------------------
@@ -536,10 +470,12 @@ bool CaliFileSource::has_globals() const noexcept {
     return false;
 }
 
-void CaliFileSource::read_chunk(std::size_t index, AttributeRegistry& registry,
-                                const CaliReader::IdSink& sink) const {
+void CaliFileSource::read_chunk_batches(std::size_t index,
+                                        AttributeRegistry& registry,
+                                        std::size_t batch_size,
+                                        const CaliReader::BatchSink& sink) const {
     const Chunk& chunk = chunks_.at(index);
-    CaliParser parser(registry, sink, nullptr);
+    CaliParser parser(registry, nullptr, batch_size, sink);
     obs::SpanTimer span(iometrics::read_time);
     parser.set_span(&span);
 
@@ -560,125 +496,21 @@ void CaliFileSource::read_chunk(std::size_t index, AttributeRegistry& registry,
     for_each_line(std::string_view(buffer_.data() + chunk.begin,
                                    chunk.end - chunk.begin),
                   [&parser](std::string_view line) { parser.line(line); });
+    parser.finish();
     // only the bytes of this range count: per-worker reader.bytes sums to
     // the file size, not workers x file size
     parser.flush_metrics(chunk.end - chunk.begin);
 }
 
-void CaliFileSource::read_chunk_batches(std::size_t index,
-                                        AttributeRegistry& registry,
-                                        std::size_t batch_size,
-                                        const CaliReader::BatchSink& sink) const {
-    const Chunk& chunk = chunks_.at(index);
-    CaliParser parser(registry, noop_id_sink(), nullptr);
-    obs::SpanTimer span(iometrics::read_time);
-    parser.set_span(&span);
-
-    // replay the attribute definitions preceding this range (see
-    // read_chunk); batch emission only begins with the range's own records
-    for (const MetaLine& m : meta_) {
-        if (m.offset >= chunk.begin)
-            break;
-        if (m.kind != 'A')
-            continue;
-        parser.set_lineno(m.lineno - 1);
-        parser.line(std::string_view(buffer_.data() + m.offset, m.size));
-    }
-
-    RecordBatch batch;
-    parser.set_batch(batch, batch_size, sink);
-    parser.set_lineno(chunk.first_line - 1);
-    for_each_line(std::string_view(buffer_.data() + chunk.begin,
-                                   chunk.end - chunk.begin),
-                  [&parser](std::string_view line) { parser.line(line); });
-    parser.finish();
-    parser.flush_metrics(chunk.end - chunk.begin);
-}
-
 IdRecord CaliFileSource::read_globals(AttributeRegistry& registry) const {
     IdRecord globals;
-    const CaliReader::IdSink noop = [](IdRecord&&) {};
-    CaliParser parser(registry, noop, &globals);
+    const CaliReader::BatchSink noop = [](RecordBatch&) {}; // no 'R' lines here
+    CaliParser parser(registry, &globals, 1, noop);
     for (const MetaLine& m : meta_) {
         parser.set_lineno(m.lineno - 1);
         parser.line(std::string_view(buffer_.data() + m.offset, m.size));
     }
     return globals;
-}
-
-// -- name-based compatibility wrappers --------------------------------------
-
-void CaliReader::read(std::istream& is, const RecordSink& sink, RecordMap* globals) {
-    read_range(is, 0, UINT64_MAX, sink, globals);
-}
-
-namespace {
-
-/// Adapt an id sink + private registry to the name-based API.
-void restore_globals(const IdRecord& g, const AttributeRegistry& registry,
-                     RecordMap* globals) {
-    if (!globals)
-        return;
-    for (const Entry& e : g)
-        globals->append(registry.get(e.attribute).name(), e.value);
-}
-
-} // namespace
-
-void CaliReader::read_range(std::istream& is, std::uint64_t begin, std::uint64_t end,
-                            const RecordSink& sink, RecordMap* globals) {
-    AttributeRegistry registry; // private dictionary, names restored below
-    IdRecord g;
-    read_range(is, begin, end, registry,
-               [&](IdRecord&& rec) { sink(to_recordmap(rec, registry)); },
-               globals ? &g : nullptr);
-    restore_globals(g, registry, globals);
-}
-
-std::vector<RecordMap> CaliReader::read_all(std::istream& is, RecordMap* globals) {
-    std::vector<RecordMap> out;
-    read(is, [&out](RecordMap&& r) { out.push_back(std::move(r)); }, globals);
-    return out;
-}
-
-std::vector<RecordMap> CaliReader::read_file(const std::string& path,
-                                             RecordMap* globals) {
-    std::vector<RecordMap> out;
-    read_file(path, [&out](RecordMap&& r) { out.push_back(std::move(r)); }, globals);
-    return out;
-}
-
-void CaliReader::read_file(const std::string& path, const RecordSink& sink,
-                           RecordMap* globals) {
-    const FileBuffer buf = FileBuffer::open(path);
-    AttributeRegistry registry;
-    IdRecord g;
-    read_buffer(buf.view(), registry,
-                [&](IdRecord&& rec) { sink(to_recordmap(rec, registry)); },
-                globals ? &g : nullptr);
-    restore_globals(g, registry, globals);
-}
-
-void CaliReader::read_file_range(const std::string& path, std::uint64_t begin,
-                                 std::uint64_t end, const RecordSink& sink,
-                                 RecordMap* globals) {
-    const FileBuffer buf = FileBuffer::open(path);
-    AttributeRegistry registry;
-    IdRecord g;
-    parse_buffer_range(buf.view(), begin, end, registry,
-                       [&](IdRecord&& rec) { sink(to_recordmap(rec, registry)); },
-                       globals ? &g : nullptr);
-    restore_globals(g, registry, globals);
-}
-
-std::uint64_t CaliReader::count_records(const std::string& path) {
-    const FileBuffer buf = FileBuffer::open(path);
-    std::uint64_t n = 0;
-    for_each_line(buf.view(), [&n](std::string_view line) {
-        if (!line.empty() && line[0] == 'R')
-            ++n;
-    });
-    return n;
 }
 
 Dataset Dataset::load(const std::vector<std::string>& paths) {

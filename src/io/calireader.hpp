@@ -1,20 +1,20 @@
 // Reader for the calib stream format (see caliwriter.hpp).
 //
-// The primary entry points resolve attribute names against a caller-
-// provided AttributeRegistry *once per attribute definition* — a name that
-// repeats across thousands of records costs one registry lookup total —
-// and emit id-based records (IdRecord) straight into the query pipeline.
-// The name-based RecordMap API remains as a compatibility wrapper over
-// the same parser (it resolves through a private registry and converts
-// each record back to names).
+// The parser resolves attribute names against a caller-provided
+// AttributeRegistry *once per attribute definition* — a name that repeats
+// across thousands of records costs one registry lookup total — and
+// appends record fields straight into RecordBatch columns, the one shape
+// in which records enter the query pipeline. The name-based RecordMap API
+// remains as a wrapper over the same parser (it resolves through a private
+// registry and converts each row back to names).
 //
 // File-based entry points are zero-copy: the file is mmap()ed (FileBuffer,
 // with a read()-into-buffer fallback for pipes/stdin) and the parser walks
 // string_view lines directly over the mapped bytes — no per-line
 // std::string, a flat vector indexed by the stream-local attribute id, and
-// a reused record scratch buffer, so steady-state record parsing performs
-// no allocations. The istream entry points remain for true streams and
-// tests (std::getline per line).
+// reused batch columns, so steady-state record parsing performs no
+// allocations. istream inputs are read into a buffer and parsed the same
+// way.
 //
 // CaliFileSource supports parallel reads of one file: a single cheap
 // chunking pass splits the mapped bytes into line-aligned ranges and
@@ -46,73 +46,38 @@ namespace calib {
 class CaliReader {
 public:
     using RecordSink = std::function<void(RecordMap&&)>;
-    using IdSink     = std::function<void(IdRecord&&)>;
     /// Batched sink: the batch is the reader's reusable scratch — consume
     /// it in place (the reader clears it after the call, retaining the
     /// column layout), or std::move() it away to keep it.
     using BatchSink  = std::function<void(RecordBatch&)>;
 
-    // -- id-based entry points (resolve-once; the query hot path) ----------
+    // -- batched entry points (the query path) ------------------------------
+    //
+    // Record fields append straight into RecordBatch column vectors as they
+    // parse; \a sink receives a batch every \a batch_size records (plus one
+    // trailing partial batch). Attribute names resolve through \a registry
+    // at their definition line; dataset globals (if any) accumulate into
+    // \a globals. Throws std::runtime_error on a malformed stream.
     //
     // Read accounting (records, entries, name resolutions, bytes) feeds the
     // global "reader.*" instruments in the obs metrics registry; enable via
     // obs::set_enabled() / CALIB_METRICS and read with cali-query --stats.
 
-    /// Stream id-based records from \a is into \a sink; attribute names
-    /// resolve through \a registry at their definition line. Dataset
-    /// globals (if any) accumulate into \a globals. Throws
-    /// std::runtime_error on a malformed stream.
-    static void read(std::istream& is, AttributeRegistry& registry,
-                     const IdSink& sink, IdRecord* globals = nullptr);
-
-    /// Stream only records with index in [\a begin, \a end) into \a sink
-    /// (record indices count 'R' lines in stream order). The whole stream
-    /// is still scanned — attribute definitions and globals can appear
-    /// anywhere — but records outside the range are skipped without
-    /// parsing their fields.
-    static void read_range(std::istream& is, std::uint64_t begin, std::uint64_t end,
-                           AttributeRegistry& registry, const IdSink& sink,
-                           IdRecord* globals = nullptr);
-
     /// Zero-copy parse of in-memory stream text (no istream, no per-line
     /// copies). File readers map the file and call this.
-    static void read_buffer(std::string_view text, AttributeRegistry& registry,
-                            const IdSink& sink, IdRecord* globals = nullptr);
-
-    /// Mmap \a path ("-" = stdin, via the read() fallback) and parse it
-    /// zero-copy.
-    static void read_file(const std::string& path, AttributeRegistry& registry,
-                          const IdSink& sink, IdRecord* globals = nullptr);
-
-    static void read_file_range(const std::string& path, std::uint64_t begin,
-                                std::uint64_t end, AttributeRegistry& registry,
-                                const IdSink& sink, IdRecord* globals = nullptr);
-
-    // -- batched entry points (the columnar hot path) -----------------------
-    //
-    // Record fields append straight into RecordBatch column vectors as they
-    // parse; \a sink receives a batch every \a batch_size records (plus one
-    // trailing partial batch). Semantically identical to the IdSink entry
-    // points — the fuzz differential runner guards byte-identity.
-
     static void read_buffer_batches(std::string_view text,
                                     AttributeRegistry& registry,
                                     std::size_t batch_size, const BatchSink& sink,
                                     IdRecord* globals = nullptr);
 
+    /// Mmap \a path ("-" = stdin, via the read() fallback) and parse it
+    /// zero-copy.
     static void read_file_batches(const std::string& path,
                                   AttributeRegistry& registry,
                                   std::size_t batch_size, const BatchSink& sink,
                                   IdRecord* globals = nullptr);
 
-    static void read_file_range_batches(const std::string& path,
-                                        std::uint64_t begin, std::uint64_t end,
-                                        AttributeRegistry& registry,
-                                        std::size_t batch_size,
-                                        const BatchSink& sink,
-                                        IdRecord* globals = nullptr);
-
-    // -- name-based entry points (compatibility wrappers) -------------------
+    // -- name-based entry points --------------------------------------------
 
     static void read(std::istream& is, const RecordSink& sink,
                      RecordMap* globals = nullptr);
@@ -126,22 +91,12 @@ public:
     /// Stream records from a file (avoids materializing the record vector).
     static void read_file(const std::string& path, const RecordSink& sink,
                           RecordMap* globals = nullptr);
-
-    static void read_range(std::istream& is, std::uint64_t begin, std::uint64_t end,
-                           const RecordSink& sink, RecordMap* globals = nullptr);
-
-    static void read_file_range(const std::string& path, std::uint64_t begin,
-                                std::uint64_t end, const RecordSink& sink,
-                                RecordMap* globals = nullptr);
-
-    /// Number of records in a file (a plain line scan; no field parsing).
-    static std::uint64_t count_records(const std::string& path);
 };
 
 /// A .cali file prepared for parallel byte-range reads: the file is mapped
 /// once and split into line-aligned chunks by a single cheap scan that also
 /// indexes every 'A' (attribute definition) and 'G' (globals) line. Workers
-/// call read_chunk() with disjoint chunk indices; each replays the
+/// call read_chunk_batches() with disjoint chunk indices; each replays the
 /// definitions preceding its range, then parses only its own bytes.
 /// Immutable after construction — safe to share across threads.
 class CaliFileSource {
@@ -167,12 +122,9 @@ public:
     /// Chunks tile [0, size_bytes()) in file order; empty for an empty file.
     const std::vector<Chunk>& chunks() const noexcept { return chunks_; }
 
-    /// Parse the records of chunk \a index into \a sink (thread-safe for
-    /// distinct indices). Error messages carry whole-file line numbers.
-    void read_chunk(std::size_t index, AttributeRegistry& registry,
-                    const CaliReader::IdSink& sink) const;
-
-    /// Batched variant of read_chunk() (see CaliReader::BatchSink).
+    /// Parse the records of chunk \a index into batches for \a sink
+    /// (thread-safe for distinct indices; see CaliReader::BatchSink). Error
+    /// messages carry whole-file line numbers.
     void read_chunk_batches(std::size_t index, AttributeRegistry& registry,
                             std::size_t batch_size,
                             const CaliReader::BatchSink& sink) const;

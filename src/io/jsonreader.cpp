@@ -16,8 +16,8 @@ namespace calib {
 
 namespace {
 
-// Pulls characters off the stream one record at a time, so arbitrarily
-// large inputs parse in bounded memory (the largest single object).
+// Pulls characters off the stream one object at a time, so arbitrarily
+// large inputs parse in bounded memory (one batch of objects).
 // Object keys resolve to attribute ids through a per-parser dictionary:
 // each distinct key costs one registry lookup per stream, not per record.
 class JsonParser {
@@ -25,8 +25,24 @@ public:
     JsonParser(std::istream& is, AttributeRegistry& registry)
         : is_(is), registry_(registry) {}
 
-    void parse_records(const std::function<void(IdRecord&&)>& sink) {
+    /// Parse the record array, appending each object as one row of a
+    /// batch handed to \a sink every \a cap rows (plus a trailing partial
+    /// batch).
+    void parse_records(std::size_t cap, const std::function<void(RecordBatch&)>& sink) {
         obs::SpanTimer read_span(iometrics::read_time);
+        RecordBatch batch;
+        auto fill_start = std::chrono::steady_clock::now();
+        const auto emit = [&]() {
+            const auto now = std::chrono::steady_clock::now();
+            iometrics::batch_fill.record(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(now - fill_start)
+                    .count()));
+            read_span.pause(); // downstream pipeline time is not read time
+            sink(batch);
+            read_span.resume();
+            batch.clear(); // safe after a sink that moved the batch away
+            fill_start = std::chrono::steady_clock::now();
+        };
         skip_ws();
         expect('[');
         skip_ws();
@@ -34,12 +50,10 @@ public:
             next();
         } else {
             while (true) {
-                IdRecord rec = parse_object();
+                iometrics::entries.add(parse_object(batch));
                 iometrics::records.add();
-                iometrics::entries.add(rec.size());
-                read_span.pause(); // downstream pipeline time is not read time
-                sink(std::move(rec));
-                read_span.resume();
+                if (batch.rows() >= cap)
+                    emit();
                 skip_ws();
                 const char c = next();
                 if (c == ']')
@@ -52,6 +66,8 @@ public:
         skip_ws();
         if (peek() != '\0')
             fail("trailing content after the record array");
+        if (!batch.empty())
+            emit();
         iometrics::bytes.add(pos_);
     }
 
@@ -205,14 +221,16 @@ private:
         return it->second;
     }
 
-    IdRecord parse_object() {
+    /// Parse one object into a new row of \a batch; returns its entry
+    /// count.
+    std::size_t parse_object(RecordBatch& batch) {
         skip_ws();
         expect('{');
-        IdRecord rec;
+        batch.begin_row();
         skip_ws();
         if (peek() == '}') {
             next();
-            return rec;
+            return batch.end_row();
         }
         while (true) {
             skip_ws();
@@ -221,11 +239,11 @@ private:
             expect(':');
             Variant value = parse_value();
             if (!value.empty())
-                rec.append(resolve_key(key), value);
+                batch.append(resolve_key(key), value);
             skip_ws();
             const char c = next();
             if (c == '}')
-                return rec;
+                return batch.end_row();
             if (c != ',')
                 fail("expected ',' or '}' in object");
         }
@@ -248,50 +266,26 @@ public:
 
 } // namespace
 
-void read_json_records(std::istream& is, AttributeRegistry& registry,
-                       const std::function<void(IdRecord&&)>& sink) {
-    JsonParser(is, registry).parse_records(sink);
-}
-
-void read_json_file(const std::string& path, AttributeRegistry& registry,
-                    const std::function<void(IdRecord&&)>& sink) {
-    const FileBuffer buf = FileBuffer::open(path);
-    ViewBuf view(buf.view());
-    std::istream is(&view);
-    read_json_records(is, registry, sink);
-}
-
 void read_json_file_batches(const std::string& path, AttributeRegistry& registry,
                             std::size_t batch_size,
                             const std::function<void(RecordBatch&)>& sink) {
-    if (batch_size == 0)
-        batch_size = 1;
-    RecordBatch batch;
-    auto fill_start = std::chrono::steady_clock::now();
-    const auto emit = [&]() {
-        const auto now = std::chrono::steady_clock::now();
-        iometrics::batch_fill.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                                 fill_start)
-                .count()));
-        sink(batch);
-        batch.clear(); // safe after a sink that moved the batch away
-        fill_start = std::chrono::steady_clock::now();
-    };
-    read_json_file(path, registry, [&](IdRecord&& rec) {
-        batch.append_record(rec);
-        if (batch.rows() >= batch_size)
-            emit();
-    });
-    if (!batch.empty())
-        emit();
+    const FileBuffer buf = FileBuffer::open(path);
+    ViewBuf view(buf.view());
+    std::istream is(&view);
+    JsonParser(is, registry).parse_records(batch_size ? batch_size : 1, sink);
 }
 
 void read_json_records(std::istream& is,
                        const std::function<void(RecordMap&&)>& sink) {
     AttributeRegistry registry; // private dictionary, names restored below
-    read_json_records(is, registry,
-                      [&](IdRecord&& rec) { sink(to_recordmap(rec, registry)); });
+    IdRecord row;
+    const auto to_names = [&](RecordBatch& batch) {
+        for (std::size_t r = 0; r < batch.rows(); ++r) {
+            batch.materialize(r, row);
+            sink(to_recordmap(row, registry));
+        }
+    };
+    JsonParser(is, registry).parse_records(RecordBatch::default_rows, to_names);
 }
 
 std::vector<RecordMap> read_json_records(std::istream& is) {

@@ -6,14 +6,14 @@
 // with string / number / bool / null values. Lets query pipelines consume
 // reports produced by other tools (or by calib itself).
 //
-// The id-based entry points resolve each distinct object key against the
+// The batched entry point resolves each distinct object key against the
 // caller's AttributeRegistry once per stream (a per-parser dictionary
-// caches the resolution), emitting IdRecords for the query hot path. The
-// RecordMap API remains as a compatibility wrapper.
+// caches the resolution) and appends records into RecordBatches for the
+// query pipeline. The RecordMap API remains as a wrapper over the same
+// parser.
 #pragma once
 
 #include "../common/attribute.hpp"
-#include "../common/idrecord.hpp"
 #include "../common/recordbatch.hpp"
 #include "../common/recordmap.hpp"
 
@@ -24,26 +24,16 @@
 
 namespace calib {
 
-/// Streaming id-based parse: records are parsed directly off the stream
-/// (one object at a time — the input is never slurped into memory), keys
-/// resolve through \a registry once per distinct name, and completed
-/// records go to \a sink. Read accounting feeds the global "reader.*"
-/// instruments (see obs/metrics.hpp). Throws std::runtime_error (with
-/// byte position) on malformed input.
-void read_json_records(std::istream& is, AttributeRegistry& registry,
-                       const std::function<void(IdRecord&&)>& sink);
-
 /// Read a JSON record-array file; "-" reads standard input. The file is
-/// mapped via FileBuffer (read() fallback for pipes) and parsed in place.
-/// Throws std::runtime_error ("cannot open <path>", or a parse error with
-/// byte position).
-void read_json_file(const std::string& path, AttributeRegistry& registry,
-                    const std::function<void(IdRecord&&)>& sink);
-
-/// Batched wrapper over read_json_file(): parsed records accumulate into a
-/// RecordBatch handed to \a sink every \a batch_size records (plus one
-/// trailing partial batch). The batch is reusable scratch — consume it in
-/// place or std::move() it away (see CaliReader::BatchSink).
+/// mapped via FileBuffer (read() fallback for pipes) and parsed in place,
+/// one object at a time: keys resolve through \a registry once per
+/// distinct name, and parsed records accumulate into a RecordBatch handed
+/// to \a sink every \a batch_size records (plus one trailing partial
+/// batch). The batch is reusable scratch — consume it in place or
+/// std::move() it away (see CaliReader::BatchSink). Read accounting feeds
+/// the global "reader.*" instruments (see obs/metrics.hpp). Throws
+/// std::runtime_error ("cannot open <path>", or a parse error with byte
+/// position).
 void read_json_file_batches(const std::string& path, AttributeRegistry& registry,
                             std::size_t batch_size,
                             const std::function<void(RecordBatch&)>& sink);
@@ -51,7 +41,8 @@ void read_json_file_batches(const std::string& path, AttributeRegistry& registry
 /// Parse a JSON array of flat objects into name-based records.
 std::vector<RecordMap> read_json_records(std::string_view text);
 
-/// Streaming name-based variants (compatibility wrappers).
+/// Streaming name-based variants: records are parsed directly off the
+/// stream (the input is never slurped into memory).
 void read_json_records(std::istream& is,
                        const std::function<void(RecordMap&&)>& sink);
 std::vector<RecordMap> read_json_records(std::istream& is);

@@ -19,6 +19,13 @@ constexpr int tag_partial = 0x00ca11b;
 double seconds_since(std::uint64_t start_ns) {
     return static_cast<double>(now_ns() - start_ns) * 1e-9;
 }
+
+/// One rank's local stage input: the file's batches into \a proc.
+void read_local(const std::string& file, QueryProcessor& proc) {
+    CaliReader::read_file_batches(file, *proc.registry(),
+                                  engine::default_batch_size(),
+                                  [&proc](RecordBatch& b) { proc.add_batch(b); });
+}
 } // namespace
 
 QueryTimes parallel_query(const QuerySpec& spec, const std::vector<std::string>& files,
@@ -91,13 +98,12 @@ QueryTimes modeled_query(const QuerySpec& spec, const std::string& representativ
     QueryTimes times;
     times.nprocs = nprocs;
 
-    // local stage, executed and timed for real (id-based record pipeline:
-    // names resolve once per attribute definition, not per record)
+    // local stage, executed and timed for real (batch pipeline: names
+    // resolve once per attribute definition, not per record)
     const std::uint64_t t_local = now_ns();
     QueryProcessor local(spec);
     for (int i = 0; i < files_per_rank; ++i)
-        CaliReader::read_file(representative_file, *local.registry(),
-                              [&local](IdRecord&& r) { local.add(std::move(r)); });
+        read_local(representative_file, local);
     times.local_s       = seconds_since(t_local);
     times.input_records = local.num_records_in() * static_cast<std::uint64_t>(nprocs);
 
@@ -138,8 +144,7 @@ QueryTimes modeled_query_kary(const QuerySpec& spec,
 
     const std::uint64_t t_local = now_ns();
     QueryProcessor local(spec);
-    CaliReader::read_file(representative_file, *local.registry(),
-                          [&local](IdRecord&& r) { local.add(std::move(r)); });
+    read_local(representative_file, local);
     times.local_s       = seconds_since(t_local);
     times.input_records = local.num_records_in() * static_cast<std::uint64_t>(nprocs);
 

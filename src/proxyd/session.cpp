@@ -181,9 +181,10 @@ std::string ProxyChannel::answer(std::string_view calql, bool* ok) const {
     proxyd_queries.add();
     try {
         QueryProcessor proc(parse_calql(calql));
+        RecordMapFeeder feed(proc);
         for (const Row& row : rows())
-            for (std::uint64_t i = 0; i < row.weight; ++i)
-                proc.add(row.record);
+            feed.add(row.record, row.weight);
+        feed.flush();
         std::ostringstream os;
         proc.write(os);
         if (ok)

@@ -47,19 +47,6 @@ bool apply_op(FilterSpec::Op op, bool present, const Variant& value,
 
 } // namespace
 
-bool filter_matches(const FilterSpec& filter, const RecordMap& record) {
-    // one scan resolves presence and value together
-    const Variant* v = record.find(filter.attribute);
-    return apply_op(filter.op, v != nullptr, v ? *v : Variant(), filter.value);
-}
-
-bool filters_match(const std::vector<FilterSpec>& filters, const RecordMap& record) {
-    for (const FilterSpec& f : filters)
-        if (!filter_matches(f, record))
-            return false;
-    return true;
-}
-
 SnapshotFilter::SnapshotFilter(std::vector<FilterSpec> filters,
                                AttributeRegistry* registry)
     : filters_(std::move(filters)), registry_(registry) {

@@ -1,13 +1,11 @@
-// Record filtering (WHERE clause evaluation) for offline records and,
-// with resolved attribute ids, for online snapshot records.
+// Record filtering (WHERE clause evaluation) with resolved attribute ids,
+// for offline record batches and online snapshot records.
 #pragma once
 
 #include "queryspec.hpp"
 
 #include "../common/attribute.hpp"
-#include "../common/idrecord.hpp"
 #include "../common/recordbatch.hpp"
-#include "../common/recordmap.hpp"
 #include "../common/snapshot.hpp"
 
 #include <cstdint>
@@ -16,16 +14,10 @@
 
 namespace calib {
 
-/// Evaluate a single condition against an offline record.
-bool filter_matches(const FilterSpec& filter, const RecordMap& record);
-
-/// Evaluate a conjunction of conditions.
-bool filters_match(const std::vector<FilterSpec>& filters, const RecordMap& record);
-
 /// Filter with id-resolved conditions: conditions compile to attribute ids
 /// against one registry (lazily, so late-created attributes still bind),
 /// and evaluation is id compares — no string scans. Serves both the online
-/// snapshot path and the id-based offline pipeline.
+/// snapshot path and the offline batch pipeline.
 class SnapshotFilter {
 public:
     SnapshotFilter(std::vector<FilterSpec> filters, AttributeRegistry* registry);
@@ -35,13 +27,12 @@ public:
     bool matches(const SnapshotRecord& record) {
         return matches(std::span<const Entry>(record.begin(), record.size()));
     }
-    bool matches(const IdRecord& record) { return matches(record.span()); }
 
     /// Columnar stage: fill \a selection with the (ascending) indices of
     /// the rows of \a batch that pass every condition. Each condition is a
     /// tight in-place compaction loop over one column; per-row outcomes
     /// and the filter.checked/passed counter totals are identical to
-    /// calling matches() per record.
+    /// calling matches() per materialized row.
     void matches(const RecordBatch& batch, std::vector<std::uint32_t>& selection);
 
     bool empty() const noexcept { return filters_.empty(); }

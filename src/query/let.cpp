@@ -4,53 +4,6 @@
 
 namespace calib {
 
-Variant evaluate_let(const LetSpec& let, const RecordMap& record) {
-    switch (let.fn) {
-    case LetSpec::Fn::Scale: {
-        if (let.args.empty())
-            return {};
-        const Variant v = record.get(let.args[0]);
-        if (!v.is_numeric())
-            return {};
-        return Variant(v.to_double() * let.parameter);
-    }
-    case LetSpec::Fn::Truncate: {
-        if (let.args.empty() || let.parameter <= 0.0)
-            return {};
-        const Variant v = record.get(let.args[0]);
-        if (!v.is_numeric())
-            return {};
-        return Variant(std::floor(v.to_double() / let.parameter) * let.parameter);
-    }
-    case LetSpec::Fn::Ratio: {
-        if (let.args.size() < 2)
-            return {};
-        const Variant a = record.get(let.args[0]);
-        const Variant b = record.get(let.args[1]);
-        if (!a.is_numeric() || !b.is_numeric() || b.to_double() == 0.0)
-            return {};
-        return Variant(a.to_double() / b.to_double());
-    }
-    case LetSpec::Fn::First: {
-        for (const std::string& arg : let.args) {
-            Variant v = record.get(arg);
-            if (!v.empty())
-                return v;
-        }
-        return {};
-    }
-    }
-    return {};
-}
-
-void apply_lets(const std::vector<LetSpec>& lets, RecordMap& record) {
-    for (const LetSpec& let : lets) {
-        Variant v = evaluate_let(let, record);
-        if (!v.empty())
-            record.set(let.target, v);
-    }
-}
-
 CompiledLets::CompiledLets(std::vector<LetSpec> lets, AttributeRegistry* registry)
     : lets_(std::move(lets)), registry_(registry) {
     target_ids_.assign(lets_.size(), invalid_id);
@@ -87,71 +40,10 @@ void CompiledLets::resolve() {
     fully_resolved_      = all;
 }
 
-Variant CompiledLets::evaluate(std::size_t term, const IdRecord& record) const {
-    const LetSpec& let           = lets_[term];
-    const std::vector<id_t>& ids = arg_ids_[term];
-    auto arg = [&](std::size_t k) -> Variant {
-        return ids[k] == invalid_id ? Variant() : record.get(ids[k]);
-    };
-    switch (let.fn) {
-    case LetSpec::Fn::Scale: {
-        if (ids.empty())
-            return {};
-        const Variant v = arg(0);
-        if (!v.is_numeric())
-            return {};
-        return Variant(v.to_double() * let.parameter);
-    }
-    case LetSpec::Fn::Truncate: {
-        if (ids.empty() || let.parameter <= 0.0)
-            return {};
-        const Variant v = arg(0);
-        if (!v.is_numeric())
-            return {};
-        return Variant(std::floor(v.to_double() / let.parameter) * let.parameter);
-    }
-    case LetSpec::Fn::Ratio: {
-        if (ids.size() < 2)
-            return {};
-        const Variant a = arg(0);
-        const Variant b = arg(1);
-        if (!a.is_numeric() || !b.is_numeric() || b.to_double() == 0.0)
-            return {};
-        return Variant(a.to_double() / b.to_double());
-    }
-    case LetSpec::Fn::First: {
-        for (std::size_t k = 0; k < ids.size(); ++k) {
-            Variant v = arg(k);
-            if (!v.empty())
-                return v;
-        }
-        return {};
-    }
-    }
-    return {};
-}
-
-void CompiledLets::apply(IdRecord& record) {
-    resolve();
-    for (std::size_t i = 0; i < lets_.size(); ++i) {
-        Variant v = evaluate(i, record);
-        if (!v.empty())
-            record.set(target_ids_[i], v);
-    }
-}
-
-Variant CompiledLets::evaluate_cols(std::size_t term, const RecordBatch& batch,
-                                    const std::int32_t* argcols,
-                                    std::size_t row) const {
-    const LetSpec& let     = lets_[term];
+template <typename Arg>
+Variant CompiledLets::evaluate(std::size_t term, const Arg& arg) const {
+    const LetSpec& let      = lets_[term];
     const std::size_t nargs = arg_ids_[term].size();
-    auto arg = [&](std::size_t k) -> Variant {
-        const std::int32_t c = argcols[k];
-        if (c < 0)
-            return {};
-        const RecordBatch::Column& col = batch.column_at(static_cast<std::size_t>(c));
-        return col.valid[row] ? col.values[row] : Variant();
-    };
     switch (let.fn) {
     case LetSpec::Fn::Scale: {
         if (nargs == 0)
@@ -196,9 +88,10 @@ void CompiledLets::apply(RecordBatch& batch) {
         return;
     const std::size_t n = batch.rows();
     std::vector<std::int32_t> argcols;
-    // term-major is equivalent to the record path's record-major order:
-    // terms only interact through same-row target/argument values, and
-    // term i finishes every row before term i+1 reads its target
+    // term-major is equivalent to applying every term to one row before
+    // the next: terms only interact through same-row target/argument
+    // values, and term i finishes every row before term i+1 reads its
+    // target
     for (std::size_t i = 0; i < lets_.size(); ++i) {
         const std::size_t target = batch.append_target(target_ids_[i]);
         const std::vector<id_t>& ids = arg_ids_[i];
@@ -209,12 +102,21 @@ void CompiledLets::apply(RecordBatch& batch) {
         for (std::size_t r = 0; r < n; ++r) {
             if (batch.is_overflow(r)) {
                 IdRecord& rec   = batch.overflow_record(r);
-                const Variant v = evaluate(i, rec);
+                const Variant v = evaluate(i, [&](std::size_t k) {
+                    return ids[k] == invalid_id ? Variant() : rec.get(ids[k]);
+                });
                 if (!v.empty())
                     rec.set(target_ids_[i], v);
                 continue;
             }
-            const Variant v = evaluate_cols(i, batch, argcols.data(), r);
+            const Variant v = evaluate(i, [&](std::size_t k) {
+                const std::int32_t c = argcols[k];
+                if (c < 0)
+                    return Variant();
+                const RecordBatch::Column& col =
+                    batch.column_at(static_cast<std::size_t>(c));
+                return col.valid[r] ? col.values[r] : Variant();
+            });
             if (!v.empty())
                 batch.set_row_value(target, r, v);
         }

@@ -4,46 +4,35 @@
 #include "queryspec.hpp"
 
 #include "../common/attribute.hpp"
-#include "../common/idrecord.hpp"
 #include "../common/recordbatch.hpp"
-#include "../common/recordmap.hpp"
 
 #include <vector>
 
 namespace calib {
 
-/// Compute the value of one LET term for \a record; Empty when the
-/// sources are missing or non-numeric (for numeric functions).
-Variant evaluate_let(const LetSpec& let, const RecordMap& record);
-
-/// Append every LET term's value (when computable) to \a record.
-/// Terms are evaluated in order, so later terms may use earlier targets.
-void apply_lets(const std::vector<LetSpec>& lets, RecordMap& record);
-
-/// Id-compiled LET terms for the id-based offline pipeline: target and
+/// Id-compiled LET terms for the offline batch pipeline: target and
 /// argument names resolve against one registry (targets are created on
 /// first use; arguments re-resolve lazily so late-created attributes still
-/// bind), and per-record evaluation is id compares only.
+/// bind), and per-row evaluation is column lookups only.
 class CompiledLets {
 public:
     CompiledLets(std::vector<LetSpec> lets, AttributeRegistry* registry);
 
-    /// Apply every term (in order, so later terms see earlier targets)
-    /// to \a record; semantics match apply_lets() exactly.
-    void apply(IdRecord& record);
-
-    /// Columnar stage: apply every term to every row of \a batch. Targets
-    /// become append-target columns (conforming rows) or in-record writes
-    /// (overflow rows); per-row results are identical to apply(record).
+    /// Apply every term to every row of \a batch. Terms run in order, so
+    /// later terms see earlier targets; a term whose sources are missing
+    /// or non-numeric (for numeric functions) leaves its target unset.
+    /// Targets become append-target columns (conforming rows) or in-record
+    /// writes (overflow rows), with record `set` semantics either way.
     void apply(RecordBatch& batch);
 
     bool empty() const noexcept { return lets_.empty(); }
 
 private:
     void resolve();
-    Variant evaluate(std::size_t term, const IdRecord& record) const;
-    Variant evaluate_cols(std::size_t term, const RecordBatch& batch,
-                          const std::int32_t* argcols, std::size_t row) const;
+    /// The one LET term switch: the value of term \a term, reading its
+    /// k-th argument through \a arg(k) (empty when absent).
+    template <typename Arg>
+    Variant evaluate(std::size_t term, const Arg& arg) const;
 
     std::vector<LetSpec> lets_;
     AttributeRegistry* registry_;

@@ -8,13 +8,13 @@
 namespace calib {
 
 namespace {
-// Pipeline-stage timers for the id-based hot path; the report merges
-// "phase.*" timers into the per-phase table (see obs/report.cpp).
+// Pipeline-stage timers; the report merges "phase.*" timers into the
+// per-phase table (see obs/report.cpp).
 obs::Timer let_time("phase.let");
 obs::Timer filter_time("phase.filter");
 obs::Timer aggregate_time("phase.aggregate");
-// Columnar-path instruments: rows entering add_batch() and rows surviving
-// the WHERE selection vector (their ratio is the batch selectivity).
+// Rows entering add_batch() and rows surviving the WHERE selection vector
+// (their ratio is the batch selectivity).
 obs::Counter batch_rows("batch.rows");
 obs::Counter batch_selectivity("batch.selectivity");
 } // namespace
@@ -75,34 +75,6 @@ void QueryProcessor::add_passthrough(RecordMap&& row, const Variant& timestamp) 
         pass_watermark_ = *p;
 }
 
-void QueryProcessor::add(IdRecord&& record) {
-    ++in_;
-    // derived attributes are computed before filtering and aggregation
-    if (!id_lets_.empty()) {
-        obs::Timer::Scope t(let_time);
-        id_lets_.apply(record);
-    }
-    {
-        obs::Timer::Scope t(filter_time);
-        if (!id_filter_.matches(record))
-            return;
-    }
-    ++kept_;
-    if (db_) {
-        obs::Timer::Scope t(aggregate_time);
-        db_->process(record);
-    } else if (wdb_) {
-        obs::Timer::Scope t(aggregate_time);
-        wdb_->process(record);
-    } else {
-        // passthrough rows surface verbatim in the output, so they go back
-        // to names here; aggregated rows stay id-based until flush()
-        const Variant ts =
-            spec_.window.enabled() ? passthrough_timestamp(record) : Variant();
-        add_passthrough(to_recordmap(record, *registry_), ts);
-    }
-}
-
 void QueryProcessor::add_batch(RecordBatch& batch) {
     const std::size_t n = batch.rows();
     if (n == 0)
@@ -125,14 +97,8 @@ void QueryProcessor::add_batch(RecordBatch& batch) {
         obs::Timer::Scope t(aggregate_time);
         db_->process_batch(batch, sel_);
     } else if (wdb_) {
-        // windowed: route row by row — pane assignment is per record, and
-        // the record-at-a-time path keeps batched and unbatched runs
-        // trivially byte-identical
         obs::Timer::Scope t(aggregate_time);
-        for (const std::uint32_t r : sel_) {
-            batch.materialize(r, rec_scratch_);
-            wdb_->process(rec_scratch_);
-        }
+        wdb_->process_batch(batch, sel_);
     } else {
         for (const std::uint32_t r : sel_) {
             batch.materialize(r, rec_scratch_);
@@ -151,44 +117,39 @@ void QueryProcessor::set_aggregation_memory_budget(std::size_t bytes) {
         wdb_->set_memory_budget(bytes);
 }
 
-void QueryProcessor::add(const RecordMap& record) {
-    ++in_;
-    if (spec_.lets.empty()) {
-        if (!filters_match(spec_.filters, record))
-            return;
-        ++kept_;
-        if (db_)
-            db_->process_offline(record);
-        else if (wdb_)
-            wdb_->process_offline(record);
-        else
-            add_passthrough(RecordMap(record),
-                            spec_.window.enabled()
-                                ? record.get(spec_.window.time_attribute())
-                                : Variant());
-        return;
-    }
-    // derived attributes are computed before filtering and aggregation
-    RecordMap derived = record;
-    apply_lets(spec_.lets, derived);
-    if (!filters_match(spec_.filters, derived))
-        return;
-    ++kept_;
-    if (db_)
-        db_->process_offline(derived);
-    else if (wdb_)
-        wdb_->process_offline(derived);
-    else {
-        const Variant ts = spec_.window.enabled()
-                               ? derived.get(spec_.window.time_attribute())
-                               : Variant();
-        add_passthrough(std::move(derived), ts);
-    }
+void QueryProcessor::add(IdRecord&& record) {
+    one_.clear();
+    one_.append_record(record);
+    add_batch(one_);
 }
 
 void QueryProcessor::add(const std::vector<RecordMap>& records) {
+    RecordMapFeeder feed(*this);
     for (const RecordMap& r : records)
-        add(r);
+        feed.add(r);
+    feed.flush();
+}
+
+void RecordMapFeeder::add(const RecordMap& record, std::uint64_t copies) {
+    row_.clear();
+    for (const auto& [name, value] : record) {
+        auto [it, fresh] = ids_.try_emplace(name, invalid_id);
+        if (fresh)
+            it->second = proc_.registry()->create(name, value.type()).id();
+        row_.append(it->second, value);
+    }
+    for (std::uint64_t i = 0; i < copies; ++i) {
+        batch_.append_record(row_);
+        if (batch_.rows() >= RecordBatch::default_rows)
+            flush();
+    }
+}
+
+void RecordMapFeeder::flush() {
+    if (batch_.empty())
+        return;
+    proc_.add_batch(batch_);
+    batch_.clear();
 }
 
 void QueryProcessor::merge(QueryProcessor& other) {

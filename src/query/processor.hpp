@@ -1,9 +1,11 @@
 // QueryProcessor: the offline record-processing pipeline
 // (paper §IV-C, local stage): filter -> aggregate -> sort -> limit -> format.
 //
-// Records are streamed in with add(); the aggregation is a streaming
-// reduction, so memory use is proportional to the number of unique keys,
-// not the number of input records.
+// Records are streamed in as RecordBatches with add_batch(), the one place
+// LET, WHERE and aggregation run on offline records; callers holding
+// name-based records go through RecordMapFeeder. The aggregation is a
+// streaming reduction, so memory use is proportional to the number of
+// unique keys, not the number of input records.
 #pragma once
 
 #include "calql.hpp"
@@ -21,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <unordered_map>
 #include <vector>
 
 namespace calib {
@@ -37,29 +40,25 @@ public:
 
     QueryProcessor(QueryProcessor&&) noexcept = default;
 
-    /// Stream one id-based record through the pipeline (the hot path: the
-    /// record's attribute ids must come from registry()). LET terms and
-    /// WHERE conditions are evaluated in their id-compiled forms; no
-    /// per-record name resolution happens anywhere downstream.
+    /// Stream a whole record batch through the pipeline: LET writes column
+    /// vectors, WHERE compacts a selection vector, and the aggregation
+    /// probes the hash table per batch (a windowed aggregation assigns
+    /// panes per run of rows). The batch's attribute ids must come from
+    /// registry(); it is consumed as working storage and left in an
+    /// unspecified state. Output does not depend on where batches are cut.
+    void add_batch(RecordBatch& batch);
+
+    /// One record as a one-row batch (attribute ids from registry()).
     void add(IdRecord&& record);
 
-    /// Stream a whole record batch through the pipeline (the columnar hot
-    /// path): LET writes column vectors, WHERE compacts a selection
-    /// vector, and the aggregation probes the hash table per batch.
-    /// Byte-identical to calling add() per row (the batch is consumed as
-    /// working storage and left in an unspecified state).
-    void add_batch(RecordBatch& batch);
+    /// Name-based records, through a RecordMapFeeder.
+    void add(const std::vector<RecordMap>& records);
 
     /// Bound the aggregation's in-memory group table: beyond roughly
     /// \a bytes of key+state storage, sorted runs of partial aggregates
     /// spill to a temp file and merge at flush (see AggregationDB).
     /// 0 = unbounded. No-op without aggregation.
     void set_aggregation_memory_budget(std::size_t bytes);
-
-    /// Stream one name-based record through the pipeline (compatibility
-    /// path; resolves attribute names per record).
-    void add(const RecordMap& record);
-    void add(const std::vector<RecordMap>& records);
 
     /// Merge the partial aggregation state of another processor running the
     /// same query (cross-process reduction, paper §IV-C). Without
@@ -109,9 +108,9 @@ public:
 
     const QuerySpec& spec() const noexcept { return spec_; }
 
-    /// The attribute dictionary this processor's id-based records are
-    /// resolved against. Readers feeding add(IdRecord&&) must resolve
-    /// names through this registry.
+    /// The attribute dictionary this processor's batches are resolved
+    /// against. Readers feeding add_batch() must resolve names through
+    /// this registry.
     AttributeRegistry* registry() const noexcept { return registry_; }
 
     /// Number of records seen (pre-filter) and kept (post-filter).
@@ -146,8 +145,33 @@ private:
     std::optional<std::vector<RecordMap>> result_;
     std::vector<std::uint32_t> sel_; ///< reused selection-vector scratch
     IdRecord rec_scratch_;           ///< reused row-materialize scratch
+    RecordBatch one_;                ///< add(IdRecord&&) one-row batch
     std::uint64_t in_   = 0;
     std::uint64_t kept_ = 0;
+};
+
+/// The one adapter from name-based records into the batch pipeline: each
+/// RecordMap becomes a row of a reused RecordBatch, every distinct
+/// (interned) attribute name resolves against the processor's registry
+/// once per feeder, and the batch goes to add_batch() every
+/// RecordBatch::default_rows rows. It never holds more than one batch, so
+/// replaying a record many times stays in bounded memory. Call flush()
+/// after the last record.
+class RecordMapFeeder {
+public:
+    explicit RecordMapFeeder(QueryProcessor& proc) : proc_(proc) {}
+
+    /// Append \a copies rows holding \a record.
+    void add(const RecordMap& record, std::uint64_t copies = 1);
+
+    /// Hand the pending rows (if any) to the processor.
+    void flush();
+
+private:
+    QueryProcessor& proc_;
+    RecordBatch batch_;
+    IdRecord row_;
+    std::unordered_map<const char*, id_t> ids_; ///< interned name -> id
 };
 
 /// Diagnose silently-inert query clauses: returns one warning message per

@@ -94,7 +94,9 @@ void register_report_service() {
             channel.finish_cbs.push_back([query, target](Caliper& c, Channel& ch) {
                 try {
                     QueryProcessor proc(parse_calql(query));
-                    c.flush_all(&ch, [&proc](RecordMap&& r) { proc.add(r); });
+                    RecordMapFeeder feed(proc);
+                    c.flush_all(&ch, [&feed](RecordMap&& r) { feed.add(r); });
+                    feed.flush();
                     OutputStream out(target);
                     std::lock_guard<std::mutex> lock(out.mutex());
                     out.stream() << "== report: channel '" << ch.name() << "' ==\n";

@@ -43,9 +43,8 @@ void usage() {
         "  -s, --stats           self-profile: per-phase timings and pipeline\n"
         "                        instruments to stderr (stdout is unchanged)\n"
         "      --batch-size <n>  records per columnar batch (default 1024;\n"
-        "                        also: CALIB_BATCH_SIZE; suffixes K/M/G)\n"
-        "      --no-batch        record-at-a-time pipeline (same output bytes;\n"
-        "                        for comparison and debugging)\n"
+        "                        also: CALIB_BATCH_SIZE; suffixes K/M/G;\n"
+        "                        same output bytes for every size)\n"
         "      --merge-strategy <adaptive|pairwise|tree|radix>\n"
         "                        phase-2 partial-merge strategy (default\n"
         "                        adaptive: picked per query from observed\n"
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
     bool stats        = false;
     bool json_input   = false;
     bool with_globals = false;
-    bool batched      = true;
     std::size_t batch_size = 0;                             // 0 = default
     std::size_t agg_mem    = static_cast<std::size_t>(-1);  // -1 = default
     calib::engine::MergeStrategy merge_strategy =
@@ -152,8 +150,6 @@ int main(int argc, char** argv) {
                              argv[i]);
                 return 2;
             }
-        } else if (arg == "--no-batch") {
-            batched = false;
         } else if (arg == "--merge-strategy") {
             if (++i >= argc) {
                 std::fprintf(stderr, "cali-query: missing argument for %s\n",
@@ -281,7 +277,6 @@ int main(int argc, char** argv) {
         eopts.threads           = static_cast<std::size_t>(threads);
         eopts.json_input        = json_input;
         eopts.with_globals      = with_globals;
-        eopts.batched           = batched;
         eopts.batch_size        = batch_size;
         eopts.agg_memory_budget = agg_mem;
         eopts.merge_strategy    = merge_strategy;

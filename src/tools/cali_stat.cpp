@@ -72,25 +72,29 @@ int main(int argc, char** argv) {
     }
 
     try {
-        // id-based scan: the reader resolves each attribute name once, and
+        // batched scan: the reader resolves each attribute name once, and
         // the per-entry hot loop indexes a dense vector — no string hashing
         calib::AttributeRegistry registry;
         std::vector<AttributeStats> by_id;
         std::uint64_t records = 0, entries = 0;
+        calib::IdRecord row;
 
         for (const std::string& file : files) {
             calib::IdRecord globals;
             std::uint64_t file_records = 0;
-            calib::CaliReader::read_file(
-                file, registry,
-                [&](calib::IdRecord&& r) {
-                    ++records;
-                    ++file_records;
-                    for (const calib::Entry& e : r) {
-                        ++entries;
-                        if (e.attribute >= by_id.size())
-                            by_id.resize(e.attribute + 1);
-                        by_id[e.attribute].update(e.value);
+            calib::CaliReader::read_file_batches(
+                file, registry, calib::RecordBatch::default_rows,
+                [&](calib::RecordBatch& batch) {
+                    records += batch.rows();
+                    file_records += batch.rows();
+                    for (std::size_t r = 0; r < batch.rows(); ++r) {
+                        batch.materialize(r, row);
+                        for (const calib::Entry& e : row) {
+                            ++entries;
+                            if (e.attribute >= by_id.size())
+                                by_id.resize(e.attribute + 1);
+                            by_id[e.attribute].update(e.value);
+                        }
                     }
                 },
                 &globals);

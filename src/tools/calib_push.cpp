@@ -85,22 +85,26 @@ int main(int argc, char** argv) {
         // one registry for the whole connection: attribute definitions hit
         // the wire once even when every input file redefines them
         calib::AttributeRegistry registry;
+        calib::IdRecord rec;
+        const auto push = [&](calib::RecordBatch& batch) {
+            for (std::size_t r = 0; r < batch.rows(); ++r) {
+                batch.materialize(r, rec);
+                client.push(registry, rec);
+            }
+        };
+        const std::size_t bs = calib::RecordBatch::default_rows;
 
         for (const std::string& file : files) {
             if (with_globals) {
+                // globals go out before the first record they join
                 calib::CaliFileSource source(file, /*target_chunk_bytes=*/1u << 30);
                 calib::IdRecord globals = source.read_globals(registry);
                 client.set_globals(calib::to_recordmap(globals, registry),
                                    /*join=*/true);
                 for (std::size_t c = 0; c < source.chunks().size(); ++c)
-                    source.read_chunk(c, registry, [&](calib::IdRecord&& rec) {
-                        client.push(registry, rec);
-                    });
+                    source.read_chunk_batches(c, registry, bs, push);
             } else {
-                calib::CaliReader::read_file(file, registry,
-                                             [&](calib::IdRecord&& rec) {
-                                                 client.push(registry, rec);
-                                             });
+                calib::CaliReader::read_file_batches(file, registry, bs, push);
             }
         }
 

@@ -109,8 +109,6 @@ for bs in 1 7 4096; do
     diff win_ref.csv win_run.csv || {
         echo "WINDOW: --batch-size $bs differs"; exit 1; }
 done
-"$CALI_QUERY" -t 4 --no-batch -q "$win_q" wtrace-0.cali > win_run.csv
-diff win_ref.csv win_run.csv || { echo "WINDOW: --no-batch differs"; exit 1; }
 # a window wider than the whole trace keeps every timed record: the result
 # must equal the plain (window-free) aggregation over the same file
 "$CALI_QUERY" -q "AGGREGATE count GROUP BY kernel WINDOW 1h

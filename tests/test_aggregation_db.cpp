@@ -223,11 +223,9 @@ TEST_F(AggDbTest, ReaggregationFallbackTargets) {
     // second-stage aggregation: sum(t) accepts a "sum#t" input column
     // (paper §VI-B: AGGREGATE sum(aggregate.count) over flushed profiles)
     AggregationDB db(AggregationConfig::parse("sum(t)", "k"), &registry);
-    RecordMap flushed;
-    flushed.append("k", Variant("x"));
-    flushed.append("sum#t", Variant(21LL));
-    db.process_offline(flushed);
-    db.process_offline(flushed);
+    const SnapshotRecord flushed = snap({{"k", Variant("x")}, {"sum#t", Variant(21LL)}});
+    db.process(flushed);
+    db.process(flushed);
     EXPECT_EQ(db.flush()[0].get("sum#t"), Variant(42LL));
 }
 

@@ -47,12 +47,22 @@ Workload make_workload(std::uint64_t seed, int n_records, int n_functions,
     return w;
 }
 
+/// Fold a name-based record into \a db: attributes resolve (or are
+/// created) in the database's registry, then the record goes through
+/// process().
+void process_record(AggregationDB& db, const RecordMap& r) {
+    IdRecord rec;
+    for (const auto& [name, value] : r)
+        rec.append(db.registry()->create(name, value.type()).id(), value);
+    db.process(rec);
+}
+
 std::vector<RecordMap> aggregate_all(const AggregationConfig& cfg,
                                      const std::vector<RecordMap>& records) {
     AttributeRegistry registry;
     AggregationDB db(cfg, &registry);
     for (const RecordMap& r : records)
-        db.process_offline(r);
+        process_record(db, r);
     return db.flush();
 }
 
@@ -146,7 +156,7 @@ TEST_P(AggregationProperty, MergeEqualsDirect) {
             AggregationDB partial(cfg, &part_registry);
             for (std::size_t i = part; i < w.records.size();
                  i += static_cast<std::size_t>(n_parts))
-                partial.process_offline(w.records[i]);
+                process_record(partial, w.records[i]);
             merged.merge_serialized(partial.serialize());
         }
         EXPECT_TRUE(same_result(direct, merged.flush())) << n_parts << " partitions";
@@ -161,7 +171,7 @@ TEST_P(AggregationProperty, SerializeRoundTripsWholeDatabase) {
     AttributeRegistry registry;
     AggregationDB db(cfg, &registry);
     for (const RecordMap& r : w.records)
-        db.process_offline(r);
+        process_record(db, r);
 
     AttributeRegistry registry2;
     AggregationDB restored(cfg, &registry2);
@@ -248,7 +258,7 @@ TEST(AggregationIdempotence, ReaggregatingAProfileIsIdentity) {
     AggregationDB stage2(AggregationConfig::parse("sum(count),sum(time)", "function"),
                          &registry);
     for (const RecordMap& r : stage1)
-        stage2.process_offline(r);
+        process_record(stage2, r);
     const auto out = stage2.flush();
 
     ASSERT_EQ(out.size(), stage1.size());

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -215,19 +216,51 @@ TEST(Morsel, SmallSingleFileStaysWhole) {
 TEST(Morsel, CountRecords) {
     TempDir dir("morsel-count");
     write_cali(dir.file("n.cali"), 137);
-    EXPECT_EQ(CaliReader::count_records(dir.file("n.cali")), 137u);
+    EXPECT_EQ(CaliFileSource(dir.file("n.cali"), 1024).num_records(), 137u);
 }
 
-TEST(Morsel, RangeReaderStillSeesAllGlobals) {
+TEST(Morsel, GlobalsAnywhereInFileAreJoined) {
+    // a global written after the last record still joins every record:
+    // whole-file morsels, a single unsplit file, and byte-range chunks
     TempDir dir("morsel-globals");
-    write_cali(dir.file("g.cali"), 20, 0, "7");
+    const auto write_late_global = [](const std::string& path, int n,
+                                      const char* rank) {
+        std::ofstream os(path);
+        CaliWriter w(os);
+        for (int i = 0; i < n; ++i) {
+            RecordMap r;
+            r.append("kernel", Variant("advec"));
+            r.append("id", Variant(static_cast<long long>(i)));
+            w.write_record(r);
+        }
+        w.write_global("mpi.rank", Variant(rank));
+    };
+    write_late_global(dir.file("a.cali"), 20, "7");
+    write_late_global(dir.file("b.cali"), 300, "8");
 
-    RecordMap globals;
-    std::size_t n = 0;
-    CaliReader::read_file_range(dir.file("g.cali"), 5, 10,
-                                [&n](RecordMap&&) { ++n; }, &globals);
-    EXPECT_EQ(n, 5u);
-    EXPECT_EQ(globals.get("mpi.rank"), Variant("7"));
+    const auto counts_by_rank = [](const std::vector<std::string>& files,
+                                   EngineOptions opts) {
+        opts.with_globals = true;
+        ParallelQueryProcessor eng(parse_calql("AGGREGATE count GROUP BY mpi.rank"),
+                                   opts);
+        std::map<std::string, std::uint64_t> out;
+        for (const RecordMap& r : eng.run(files).result())
+            out[r.get("mpi.rank").to_string()] = r.get("count").to_uint();
+        return out;
+    };
+    EngineOptions opts;
+    opts.threads = 2;
+    const std::map<std::string, std::uint64_t> both = {{"7", 20}, {"8", 300}};
+    EXPECT_EQ(counts_by_rank({dir.file("a.cali"), dir.file("b.cali")}, opts), both);
+
+    const std::map<std::string, std::uint64_t> b_only = {{"8", 300}};
+    opts.bytes_per_morsel = 0; // one unsplit morsel: the serial path
+    EXPECT_EQ(counts_by_rank({dir.file("b.cali")}, opts), b_only);
+    opts.bytes_per_morsel = 512;
+    ParallelQueryProcessor probe(parse_calql("FORMAT csv"), opts);
+    probe.run({dir.file("b.cali")});
+    ASSERT_GE(probe.stats().morsels, 2u) << "byte-range chunks expected";
+    EXPECT_EQ(counts_by_rank({dir.file("b.cali")}, opts), b_only);
 }
 
 // ------------------------------------------ parallel == serial (byte-exact)
@@ -480,7 +513,7 @@ TEST(EngineStats, WorkerErrorsPropagateToCaller) {
 
 // ------------------------------------------------- batched execution + spill
 
-TEST(BatchedExecution, RecordShimMatchesBatchedAcrossBatchSizes) {
+TEST(BatchedExecution, OneRowBatchesMatchEveryBatchSize) {
     TempDir dir("batch");
     std::vector<std::string> files;
     for (int f = 0; f < 3; ++f) {
@@ -492,36 +525,34 @@ TEST(BatchedExecution, RecordShimMatchesBatchedAcrossBatchSizes) {
         "GROUP BY kernel ORDER BY kernel FORMAT csv";
 
     EngineOptions opts;
-    opts.threads = 1;
-    opts.batched = false;
-    const std::string record_out = run_engine(query, files, opts);
+    opts.threads    = 1;
+    opts.batch_size = 1;
+    const std::string one_row = run_engine(query, files, opts);
 
-    opts.batched = true;
-    for (std::size_t bs : {std::size_t(1), std::size_t(7), std::size_t(1024)}) {
+    for (std::size_t bs : {std::size_t(7), std::size_t(1024)}) {
         opts.batch_size = bs;
-        EXPECT_EQ(record_out, run_engine(query, files, opts))
-            << "batch size " << bs << " differs from the record shim";
+        EXPECT_EQ(one_row, run_engine(query, files, opts))
+            << "batch size " << bs << " differs from one-row batches";
     }
 }
 
-TEST(BatchedExecution, ByteMorselsBatchedMatchesRecord) {
+TEST(BatchedExecution, ByteMorselsMatchOneRowBatches) {
     TempDir dir("batch-range");
     write_cali(dir.file("big.cali"), 1200);
     EngineOptions opts;
     opts.threads          = 4;
     opts.bytes_per_morsel = 2048;
-    opts.batched          = false;
-    const std::string record_out = run_engine(
+    opts.batch_size       = 1;
+    const std::string one_row = run_engine(
         "AGGREGATE sum(count),max(id) GROUP BY kernel FORMAT table",
         {dir.file("big.cali")}, opts);
-    opts.batched    = true;
     opts.batch_size = 7;
-    EXPECT_EQ(record_out,
+    EXPECT_EQ(one_row,
               run_engine("AGGREGATE sum(count),max(id) GROUP BY kernel FORMAT table",
                          {dir.file("big.cali")}, opts));
 }
 
-TEST(BatchedExecution, WithGlobalsBatchedMatchesRecord) {
+TEST(BatchedExecution, WithGlobalsMatchesOneRowBatches) {
     TempDir dir("batch-globals");
     std::vector<std::string> files;
     for (int f = 0; f < 2; ++f) {
@@ -534,11 +565,11 @@ TEST(BatchedExecution, WithGlobalsBatchedMatchesRecord) {
     EngineOptions opts;
     opts.with_globals = true;
     opts.threads      = 1;
-    opts.batched      = false;
-    const std::string record_out = run_engine(query, files, opts);
-    opts.batched = true;
-    EXPECT_EQ(record_out, run_engine(query, files, opts));
-    EXPECT_NE(record_out.find("advec"), std::string::npos);
+    opts.batch_size   = 1;
+    const std::string one_row = run_engine(query, files, opts);
+    opts.batch_size = 0; // default
+    EXPECT_EQ(one_row, run_engine(query, files, opts));
+    EXPECT_NE(one_row.find("advec"), std::string::npos);
 }
 
 TEST(BatchedExecution, DefaultBatchSizeSetter) {

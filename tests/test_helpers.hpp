@@ -1,6 +1,8 @@
 // Shared helpers for the calib test suites.
 #pragma once
 
+#include "common/attribute.hpp"
+#include "common/recordbatch.hpp"
 #include "common/recordmap.hpp"
 #include "common/variant.hpp"
 
@@ -20,6 +22,20 @@ inline RecordMap record(
     for (const auto& [name, value] : entries)
         r.append(name, value);
     return r;
+}
+
+/// Append \a r as one row of \a batch, resolving names through \a registry
+/// (created on first use). \a reversed appends the fields back to front:
+/// after a forward row of a record with two or more fields, that order
+/// breaks column order and demotes the row to an overflow record.
+inline void append_row(RecordBatch& batch, AttributeRegistry& registry,
+                       const RecordMap& r, bool reversed = false) {
+    batch.begin_row();
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        const auto& [name, value] = r[reversed ? r.size() - 1 - i : i];
+        batch.append(registry.create(name, value.type()).id(), value);
+    }
+    batch.end_row();
 }
 
 /// Find the single record in \a records whose \a key attribute equals

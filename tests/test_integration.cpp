@@ -60,7 +60,7 @@ std::vector<RecordMap> query_files(const std::string& query,
                                    const std::vector<std::string>& files) {
     QueryProcessor proc(parse_calql(query));
     for (const std::string& f : files)
-        CaliReader::read_file(f, [&proc](RecordMap&& r) { proc.add(r); });
+        proc.add(CaliReader::read_file(f));
     return proc.result();
 }
 

@@ -215,7 +215,7 @@ TEST(ReaderMetrics, BytesCountActualInputConsumed) {
     // buffer path: bytes = buffer size
     obs::MetricsRegistry::instance().reset();
     AttributeRegistry registry;
-    CaliReader::read_buffer(text, registry, [](IdRecord&&) {});
+    CaliReader::read_buffer_batches(text, registry, 1024, [](RecordBatch&) {});
     EXPECT_EQ(reg.value("reader.bytes"), static_cast<std::int64_t>(text.size()));
     obs::set_enabled(false);
 }
@@ -228,28 +228,25 @@ TEST(CaliFile, CountRecordsSkipsMetaLines) {
         // comments, definitions, globals, an empty record, no final newline
         os << "#calib-stream v1\nA,0,a,int,0\nG,0=1\nR,0=1\nR\n\nR,0=2";
     }
-    EXPECT_EQ(CaliReader::count_records(path), 3u);
+    EXPECT_EQ(CaliFileSource(path, 4).num_records(), 3u);
 }
 
-TEST(CaliFile, ReadFileRangeNameShim) {
-    calib::test::TempDir dir("io-range");
+TEST(CaliFile, ReadFileSeesGlobalsAfterRecords) {
+    calib::test::TempDir dir("io-late-globals");
     const std::string path = dir.file("r.cali");
     {
         std::ofstream os(path);
         CaliWriter writer(os);
         for (int i = 0; i < 10; ++i)
             writer.write_record(record({{"i", Variant(i)}}));
-        // globals after the requested range must still be seen
+        // globals after the last record must still be seen
         writer.write_global("mpi.rank", Variant(3));
     }
     RecordMap globals;
-    std::vector<RecordMap> out;
-    CaliReader::read_file_range(path, 2, 5,
-                                [&out](RecordMap&& r) { out.push_back(std::move(r)); },
-                                &globals);
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out.front().get("i").to_int(), 2);
-    EXPECT_EQ(out.back().get("i").to_int(), 4);
+    const std::vector<RecordMap> out = CaliReader::read_file(path, &globals);
+    ASSERT_EQ(out.size(), 10u);
+    EXPECT_EQ(out.front().get("i").to_int(), 0);
+    EXPECT_EQ(out.back().get("i").to_int(), 9);
     EXPECT_EQ(globals.get("mpi.rank").to_int(), 3);
 }
 
@@ -262,7 +259,7 @@ namespace {
 void expect_parse_error(const std::string& text, int line, const std::string& what) {
     AttributeRegistry registry;
     try {
-        CaliReader::read_buffer(text, registry, [](IdRecord&&) {});
+        CaliReader::read_buffer_batches(text, registry, 1, [](RecordBatch&) {});
         FAIL() << "no error for: " << text;
     } catch (const std::runtime_error& e) {
         const std::string msg = e.what();
@@ -357,14 +354,18 @@ TEST(FileBuffer, MoveKeepsViewValid) {
 
 namespace {
 
-/// Read every chunk of \a source in order via the name-based conversion
-/// used by the tests (registry lookups), returning flattened records.
+/// Read every chunk of \a source in order (in 7-row batches), converting
+/// the rows back to names.
 std::vector<RecordMap> read_all_chunks(const CaliFileSource& source) {
     AttributeRegistry registry;
     std::vector<RecordMap> out;
+    IdRecord row;
     for (std::size_t i = 0; i < source.chunks().size(); ++i)
-        source.read_chunk(i, registry, [&](IdRecord&& r) {
-            out.push_back(to_recordmap(r, registry));
+        source.read_chunk_batches(i, registry, 7, [&](RecordBatch& batch) {
+            for (std::size_t r = 0; r < batch.rows(); ++r) {
+                batch.materialize(r, row);
+                out.push_back(to_recordmap(row, registry));
+            }
         });
     return out;
 }
@@ -459,7 +460,7 @@ TEST(CaliFileSource, ChunkErrorsCarryWholeFileLineNumbers) {
     AttributeRegistry registry;
     const std::size_t last = source.chunks().size() - 1;
     try {
-        source.read_chunk(last, registry, [](IdRecord&&) {});
+        source.read_chunk_batches(last, registry, 1024, [](RecordBatch&) {});
         FAIL() << "no error";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("line 102"), std::string::npos)

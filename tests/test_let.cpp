@@ -7,8 +7,36 @@
 #include <gtest/gtest.h>
 
 using namespace calib;
+using calib::test::append_row;
 using calib::test::find_record;
 using calib::test::record;
+
+namespace {
+
+/// The last target's value after CompiledLets applies \a lets to \a r,
+/// evaluated once on a columnar row and once on an overflow row (fields
+/// reversed), which must agree. Empty when the term left it unset.
+Variant let_value(const std::vector<LetSpec>& lets, const RecordMap& r) {
+    AttributeRegistry registry;
+    RecordBatch batch;
+    append_row(batch, registry, r);
+    append_row(batch, registry, r, /*reversed=*/true);
+    CompiledLets(lets, &registry).apply(batch);
+    Variant values[2];
+    IdRecord row;
+    for (std::size_t i = 0; i < 2; ++i) {
+        batch.materialize(i, row);
+        values[i] = to_recordmap(row, registry).get(lets.back().target);
+    }
+    EXPECT_EQ(values[0], values[1]) << "columnar and overflow rows disagree";
+    return values[0];
+}
+
+Variant let_value(const LetSpec& let, const RecordMap& r) {
+    return let_value(std::vector<LetSpec>{let}, r);
+}
+
+} // namespace
 
 TEST(LetParse, ScaleWithParameter) {
     QuerySpec spec = parse_calql("LET ms = scale(time.duration, 0.001)");
@@ -60,42 +88,42 @@ TEST(LetParse, RoundTripsThroughToCalql) {
 TEST(LetEval, Scale) {
     const RecordMap r = record({{"t", Variant(2500.0)}});
     LetSpec let{"ms", LetSpec::Fn::Scale, {"t"}, 0.001};
-    EXPECT_DOUBLE_EQ(evaluate_let(let, r).as_double(), 2.5);
+    EXPECT_DOUBLE_EQ(let_value(let, r).as_double(), 2.5);
 }
 
 TEST(LetEval, ScaleMissingOrNonNumeric) {
     LetSpec let{"ms", LetSpec::Fn::Scale, {"t"}, 0.001};
-    EXPECT_TRUE(evaluate_let(let, record({{"other", Variant(1)}})).empty());
-    EXPECT_TRUE(evaluate_let(let, record({{"t", Variant("text")}})).empty());
+    EXPECT_TRUE(let_value(let, record({{"other", Variant(1)}})).empty());
+    EXPECT_TRUE(let_value(let, record({{"t", Variant("text")}})).empty());
 }
 
 TEST(LetEval, TruncateBuckets) {
     LetSpec let{"bucket", LetSpec::Fn::Truncate, {"t"}, 100.0};
-    EXPECT_DOUBLE_EQ(evaluate_let(let, record({{"t", Variant(0)}})).as_double(), 0.0);
-    EXPECT_DOUBLE_EQ(evaluate_let(let, record({{"t", Variant(99)}})).as_double(), 0.0);
-    EXPECT_DOUBLE_EQ(evaluate_let(let, record({{"t", Variant(100)}})).as_double(),
+    EXPECT_DOUBLE_EQ(let_value(let, record({{"t", Variant(0)}})).as_double(), 0.0);
+    EXPECT_DOUBLE_EQ(let_value(let, record({{"t", Variant(99)}})).as_double(), 0.0);
+    EXPECT_DOUBLE_EQ(let_value(let, record({{"t", Variant(100)}})).as_double(),
                      100.0);
-    EXPECT_DOUBLE_EQ(evaluate_let(let, record({{"t", Variant(257)}})).as_double(),
+    EXPECT_DOUBLE_EQ(let_value(let, record({{"t", Variant(257)}})).as_double(),
                      200.0);
 }
 
 TEST(LetEval, RatioGuardsDivisionByZero) {
     LetSpec let{"r", LetSpec::Fn::Ratio, {"a", "b"}, 1.0};
     EXPECT_DOUBLE_EQ(
-        evaluate_let(let, record({{"a", Variant(3)}, {"b", Variant(4)}})).as_double(),
+        let_value(let, record({{"a", Variant(3)}, {"b", Variant(4)}})).as_double(),
         0.75);
     EXPECT_TRUE(
-        evaluate_let(let, record({{"a", Variant(3)}, {"b", Variant(0)}})).empty());
-    EXPECT_TRUE(evaluate_let(let, record({{"a", Variant(3)}})).empty());
+        let_value(let, record({{"a", Variant(3)}, {"b", Variant(0)}})).empty());
+    EXPECT_TRUE(let_value(let, record({{"a", Variant(3)}})).empty());
 }
 
 TEST(LetEval, FirstCoalesces) {
     LetSpec let{"any", LetSpec::Fn::First, {"x", "y", "z"}, 1.0};
-    EXPECT_EQ(evaluate_let(let, record({{"y", Variant("ypsilon")}})).as_string(),
+    EXPECT_EQ(let_value(let, record({{"y", Variant("ypsilon")}})).as_string(),
               "ypsilon");
-    EXPECT_EQ(evaluate_let(let, record({{"z", Variant(1)}, {"x", Variant(2)}})),
+    EXPECT_EQ(let_value(let, record({{"z", Variant(1)}, {"x", Variant(2)}})),
               Variant(2));
-    EXPECT_TRUE(evaluate_let(let, record({{"other", Variant(1)}})).empty());
+    EXPECT_TRUE(let_value(let, record({{"other", Variant(1)}})).empty());
 }
 
 TEST(LetEval, ChainedTermsSeeEarlierTargets) {
@@ -103,9 +131,8 @@ TEST(LetEval, ChainedTermsSeeEarlierTargets) {
         LetSpec{"ms", LetSpec::Fn::Scale, {"us"}, 0.001},
         LetSpec{"s", LetSpec::Fn::Scale, {"ms"}, 0.001},
     };
-    RecordMap r = record({{"us", Variant(4000000.0)}});
-    apply_lets(lets, r);
-    EXPECT_DOUBLE_EQ(r.get("s").as_double(), 4.0);
+    EXPECT_DOUBLE_EQ(let_value(lets, record({{"us", Variant(4000000.0)}})).as_double(),
+                     4.0);
 }
 
 TEST(LetQuery, BucketedGrouping) {

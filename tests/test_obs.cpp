@@ -245,12 +245,11 @@ TEST_F(ObsTest, StatsJsonFileWriteFailsGracefully) {
 
 TEST_F(ObsTest, ReaderInstrumentsCountRecords) {
     std::istringstream is(R"([{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])");
-    AttributeRegistry reg;
     std::size_t n = 0;
     auto& mreg    = obs::MetricsRegistry::instance();
     const std::int64_t records0 = mreg.value("reader.records");
     const std::int64_t entries0 = mreg.value("reader.entries");
-    read_json_records(is, reg, [&n](IdRecord&&) { ++n; });
+    read_json_records(is, [&n](RecordMap&&) { ++n; });
     EXPECT_EQ(n, 2u);
     EXPECT_EQ(mreg.value("reader.records") - records0, 2);
     EXPECT_EQ(mreg.value("reader.entries") - entries0, 4);

@@ -43,7 +43,7 @@ TEST(Paradis, EvaluationQueryYields85Records) {
     QueryProcessor proc(parse_calql(
         "AGGREGATE sum(time.inclusive.duration) GROUP BY kernel,mpi.function"));
     for (const auto& p : paths)
-        CaliReader::read_file(p, [&proc](RecordMap&& r) { proc.add(r); });
+        proc.add(CaliReader::read_file(p));
     EXPECT_EQ(proc.result().size(), 85u);
 }
 

@@ -120,8 +120,11 @@ TEST(QueryProcessor, MergeAggregatingProcessors) {
 
     QueryProcessor a(parse_calql("AGGREGATE count,sum(time) GROUP BY function"));
     QueryProcessor b(parse_calql("AGGREGATE count,sum(time) GROUP BY function"));
+    std::vector<RecordMap> odd, even;
     for (std::size_t i = 0; i < stream.size(); ++i)
-        (i % 2 ? a : b).add(stream[i]);
+        (i % 2 ? odd : even).push_back(stream[i]);
+    a.add(odd);
+    b.add(even);
     a.merge(b);
 
     auto direct = whole.result();
@@ -171,8 +174,10 @@ TEST(QueryProcessor, TwoStageEqualsOneStage) {
     std::vector<RecordMap> stage1_out;
     for (int part = 0; part < 2; ++part) {
         QueryProcessor stage1(parse_calql("AGGREGATE sum(time) GROUP BY function"));
+        std::vector<RecordMap> share;
         for (std::size_t i = part; i < stream.size(); i += 2)
-            stage1.add(stream[i]);
+            share.push_back(stream[i]);
+        stage1.add(share);
         for (const RecordMap& r : stage1.result())
             stage1_out.push_back(r);
     }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <thread>
@@ -60,8 +61,7 @@ std::vector<RecordMap> make_corpus(std::size_t n, std::uint64_t seed) {
 std::string offline_answer(const std::vector<RecordMap>& corpus,
                            const std::string& calql) {
     QueryProcessor proc(parse_calql(calql));
-    for (const RecordMap& r : corpus)
-        proc.add(r);
+    proc.add(corpus);
     std::ostringstream os;
     proc.write(os);
     return os.str();
@@ -505,12 +505,10 @@ TEST(ProxydDaemon, GracefulShutdownDrainsBufferedRecords) {
     // final flush file answers like the offline corpus (count expanded)
     test::TempDir dir("proxyd-drain");
     daemon.write_flush_files(dir.file("%c.cali"));
-    AttributeRegistry reg;
     std::uint64_t total = 0;
-    CaliReader::read_file(dir.file("drain.cali"), reg, [&](IdRecord&& rec) {
-        const Attribute count = reg.find("count");
-        ASSERT_TRUE(count.valid());
-        total += rec.get(count.id()).to_uint();
+    CaliReader::read_file(dir.file("drain.cali"), [&](RecordMap&& rec) {
+        ASSERT_TRUE(rec.contains("count"));
+        total += rec.get("count").to_uint();
     });
     EXPECT_EQ(total, corpus.size());
 }
@@ -541,16 +539,13 @@ TEST(ProxydDaemon, FlushMergesExistingCountColumn) {
     test::TempDir dir("proxyd-merge");
     daemon.write_flush_files(dir.file("%c.cali"));
 
-    AttributeRegistry rreg;
     std::uint64_t k_count = 0, k2_count = 0, records = 0;
-    CaliReader::read_file(dir.file("merge.cali"), rreg, [&](IdRecord&& r) {
+    CaliReader::read_file(dir.file("merge.cali"), [&](RecordMap&& r) {
         ++records;
-        const Attribute rk = rreg.find("kernel");
-        const Attribute rc = rreg.find("count");
-        ASSERT_TRUE(rk.valid());
-        ASSERT_TRUE(rc.valid());
-        (r.get(rk.id()).to_string() == "k" ? k_count : k2_count) +=
-            r.get(rc.id()).to_uint();
+        ASSERT_TRUE(r.contains("kernel"));
+        ASSERT_TRUE(r.contains("count"));
+        (r.get("kernel").to_string() == "k" ? k_count : k2_count) +=
+            r.get("count").to_uint();
     });
     EXPECT_EQ(records, 2u);  // one per unique record
     EXPECT_EQ(k_count, 4u);  // count 2 x multiplicity 2
@@ -803,6 +798,90 @@ TEST(ProxydDaemon, TcpIngestWorksLikeUnix) {
     daemon.stop();
     loop.join();
 }
+namespace {
+
+/// make_corpus rows mixed into 5000 pushes of one record — more than a
+/// replay batch holds, so exact-mode answers cross batch boundaries
+/// inside a single stored row.
+std::vector<RecordMap> hot_record_input() {
+    const std::vector<RecordMap> others = make_corpus(250, 9);
+    const RecordMap hot = test::record({{"kernel", Variant(std::string_view("halo"))},
+                                        {"rank", Variant(3LL)},
+                                        {"iter", Variant(7LL)},
+                                        {"val", Variant(250LL)}});
+    std::vector<RecordMap> out;
+    for (std::size_t i = 0; i < 5000; ++i) {
+        out.push_back(hot);
+        if (i % 20 == 0)
+            out.push_back(others[i / 20]);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(ProxydSession, ReplayAcrossBatchBoundariesMatchesOffline) {
+    const std::vector<RecordMap> input = hot_record_input();
+    const char* queries[] = {
+        "LET v2=scale(val,2) AGGREGATE count,sum(v2) WHERE rank<6 "
+        "GROUP BY kernel,rank ORDER BY kernel,rank FORMAT csv",
+        "SELECT kernel,rank,val WHERE val>100 ORDER BY kernel,rank,val "
+        "FORMAT csv",
+    };
+
+    SessionHarness h;
+    ASSERT_EQ(h.feed(encode_corpus(input, "test")),
+              proxyd::IngestSession::Status::Ok);
+    std::uint64_t hot_weight = 0;
+    for (const proxyd::ProxyChannel::Row& row : h.channel.rows())
+        hot_weight = std::max(hot_weight, row.weight);
+    ASSERT_GE(hot_weight, 5000u) << "one stored row must replay past a batch";
+    for (const char* q : queries) {
+        bool ok = false;
+        EXPECT_EQ(h.channel.answer(q, &ok), offline_answer(input, q)) << q;
+        EXPECT_TRUE(ok) << q;
+    }
+
+    // windowed channel: one arrival per microsecond, 2ms window in 500us
+    // panes; the live panes hold well over a batch of hot copies
+    std::uint64_t now = 0;
+    WindowSpec w;
+    w.duration_us = 2000;
+    w.slide_us    = 500;
+    proxyd::ProxyChannel ch("w", "", 64, w, [&now] { return now; });
+    AttributeRegistry& reg = ch.registry();
+    for (std::size_t i = 0; i < input.size(); ++i) {
+        now = i;
+        IdRecord rec;
+        for (const auto& [name, value] : input[i])
+            rec.append(reg.create(name, value.type()).id(), value);
+        ch.fold(rec);
+    }
+    const std::int64_t floor =
+        static_cast<std::int64_t>(now / 500) - static_cast<std::int64_t>(w.pane_count()) + 1;
+    const std::vector<RecordMap> live(input.begin() + floor * 500, input.end());
+    ASSERT_GT(live.size(), 1024u);
+    for (const char* q : queries) {
+        bool ok = false;
+        EXPECT_EQ(ch.answer(q, &ok), offline_answer(live, q)) << q;
+        EXPECT_TRUE(ok) << q;
+    }
+
+    // reduced mode: rows are aggregates of weight 1, re-aggregated
+    SessionHarness reduced("AGGREGATE count,sum(val) GROUP BY kernel");
+    ASSERT_EQ(reduced.feed(encode_corpus(input, "test")),
+              proxyd::IngestSession::Status::Ok);
+    for (const proxyd::ProxyChannel::Row& row : reduced.channel.rows())
+        EXPECT_EQ(row.weight, 1u);
+    bool ok = false;
+    EXPECT_EQ(reduced.channel.answer("AGGREGATE sum(count),sum(sum#val) "
+                                     "GROUP BY kernel ORDER BY kernel FORMAT csv",
+                                     &ok),
+              offline_answer(input, "AGGREGATE count AS sum#count,sum(val) AS "
+                                    "sum#sum#val GROUP BY kernel ORDER BY kernel "
+                                    "FORMAT csv"));
+    EXPECT_TRUE(ok);
+}
 
 // --------------------------------------------------------- windowed channels
 
@@ -941,12 +1020,10 @@ TEST(ProxydWindow, DrainKeepsFinalPaneFlush) {
 
     test::TempDir dir("proxyd-winflush");
     daemon.write_flush_files(dir.file("%c.cali"));
-    AttributeRegistry reg;
     std::uint64_t total = 0;
-    CaliReader::read_file(dir.file("flush.cali"), reg, [&](IdRecord&& rec) {
-        const Attribute count = reg.find("count");
-        ASSERT_TRUE(count.valid());
-        total += rec.get(count.id()).to_uint();
+    CaliReader::read_file(dir.file("flush.cali"), [&](RecordMap&& rec) {
+        ASSERT_TRUE(rec.contains("count"));
+        total += rec.get("count").to_uint();
     });
     EXPECT_EQ(total, corpus.size());
 }

@@ -1,7 +1,8 @@
-// Id-based offline pipeline: equivalence of the resolve-once id path
-// (reader -> IdRecord -> AggregationDB::process) with the legacy
-// name-based shim (RecordMap -> process_offline), and the reader-side
-// resolve-once accounting (the "reader.*" metrics).
+// Offline record pipeline: the two ways records enter the batch path —
+// RecordMapFeeder (name-based records, default batch size) and the .cali
+// reader (here in one-row batches) — render byte-identical output, and
+// the readers resolve attribute names once per definition (the "reader.*"
+// metrics).
 #include "aggregate/aggregation_db.hpp"
 #include "io/calireader.hpp"
 #include "io/caliwriter.hpp"
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,9 +32,9 @@ std::string to_stream(const std::vector<RecordMap>& records) {
     return os.str();
 }
 
-/// Legacy path: name-based records resolve attributes per record.
-std::string run_name_path(const std::string& query,
-                          const std::vector<RecordMap>& records) {
+/// Name-based records through RecordMapFeeder at the default batch size.
+std::string run_feeder_path(const std::string& query,
+                            const std::vector<RecordMap>& records) {
     QueryProcessor proc(parse_calql(query));
     proc.add(records);
     std::ostringstream os;
@@ -40,14 +42,14 @@ std::string run_name_path(const std::string& query,
     return os.str();
 }
 
-/// Id path: the same records round-trip through a .cali stream and enter
-/// the processor as IdRecords resolved against its registry.
-std::string run_id_path(const std::string& query,
-                        const std::vector<RecordMap>& records) {
-    std::istringstream is(to_stream(records));
+/// The same records round-trip through a .cali stream and enter the
+/// processor as one-row batches resolved against its registry.
+std::string run_reader_path(const std::string& query,
+                            const std::vector<RecordMap>& records) {
+    const std::string text = to_stream(records);
     QueryProcessor proc(parse_calql(query));
-    CaliReader::read(is, *proc.registry(),
-                     [&proc](IdRecord&& r) { proc.add(std::move(r)); });
+    CaliReader::read_buffer_batches(text, *proc.registry(), 1,
+                                    [&proc](RecordBatch& b) { proc.add_batch(b); });
     std::ostringstream os;
     proc.write(os);
     return os.str();
@@ -55,7 +57,7 @@ std::string run_id_path(const std::string& query,
 
 void expect_paths_agree(const std::string& query,
                         const std::vector<RecordMap>& records) {
-    EXPECT_EQ(run_name_path(query, records), run_id_path(query, records))
+    EXPECT_EQ(run_feeder_path(query, records), run_reader_path(query, records))
         << "query: " << query;
 }
 
@@ -73,7 +75,7 @@ std::vector<RecordMap> sample_records() {
 
 } // namespace
 
-// --- shim vs id-path equivalence over every kernel op -----------------------
+// --- feeder vs reader equivalence over every kernel op ----------------------
 
 TEST(RecordPipeline, AllKernelOpsAgree) {
     const auto rs = sample_records();
@@ -149,9 +151,9 @@ TEST(RecordPipeline, LetAndWhereAgree) {
                        rs);
 }
 
-// --- AggregationDB: process_offline shim vs process(IdRecord) ---------------
+// --- AggregationDB: process_batch vs process(IdRecord) ----------------------
 
-TEST(RecordPipeline, DbShimMatchesIdPath) {
+TEST(RecordPipeline, DbBatchMatchesRecordAtATime) {
     const auto rs = sample_records();
     const AggregationConfig cfg = AggregationConfig::parse(
         "count,sum(time),min(time),max(time),avg(time),variance(time),"
@@ -159,22 +161,48 @@ TEST(RecordPipeline, DbShimMatchesIdPath) {
         "kernel,rank");
 
     AttributeRegistry registry;
-    AggregationDB via_shim(cfg, &registry);
-    AggregationDB via_ids(cfg, &registry);
+    AggregationDB via_batch(cfg, &registry);
+    AggregationDB via_records(cfg, &registry);
 
+    RecordBatch batch;
+    std::vector<std::uint32_t> selection;
     for (const RecordMap& r : rs) {
-        via_shim.process_offline(r);
         IdRecord id_rec;
         for (const auto& [name, value] : r)
             id_rec.append(registry.create(name, value.type()).id(), value);
-        via_ids.process(id_rec);
+        via_records.process(id_rec);
+        selection.push_back(static_cast<std::uint32_t>(batch.rows()));
+        batch.append_record(id_rec);
     }
+    via_batch.process_batch(batch, selection);
 
-    const std::vector<RecordMap> a = via_shim.flush();
-    const std::vector<RecordMap> b = via_ids.flush();
+    const std::vector<RecordMap> a = via_batch.flush();
+    const std::vector<RecordMap> b = via_records.flush();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]) << "entry " << i;
+}
+
+TEST(RecordPipeline, FeederReplayAcrossBatchBoundaries) {
+    // one record replayed more times than a batch holds, between others:
+    // the feeder's bounded batches must equal the expanded input
+    const auto rs = sample_records();
+    const std::string query =
+        "LET ms=scale(time,1000.0) AGGREGATE count,sum(ms) WHERE rank>0 "
+        "GROUP BY kernel,rank FORMAT csv";
+    QueryProcessor proc(parse_calql(query));
+    RecordMapFeeder feed(proc);
+    std::vector<RecordMap> expanded;
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+        const std::uint64_t copies = i == 5 ? 2500 : 1;
+        feed.add(rs[i], copies);
+        expanded.insert(expanded.end(), copies, rs[i]);
+    }
+    feed.flush();
+    std::ostringstream os;
+    proc.write(os);
+    EXPECT_EQ(proc.num_records_in(), expanded.size());
+    EXPECT_EQ(os.str(), run_reader_path(query, expanded));
 }
 
 // --- resolve-once accounting -------------------------------------------------
@@ -208,7 +236,8 @@ TEST(RecordPipeline, CaliReaderResolvesNamesOncePerDefinition) {
 
     AttributeRegistry registry;
     std::uint64_t seen = 0;
-    CaliReader::read(is, registry, [&seen](IdRecord&&) { ++seen; });
+    CaliReader::read_buffer_batches(is.str(), registry, 16,
+                                    [&seen](RecordBatch& b) { seen += b.rows(); });
 
     const ReaderCounters delta = ReaderCounters::sample() - before;
     obs::set_enabled(false);
@@ -232,10 +261,7 @@ TEST(RecordPipeline, JsonReaderResolvesKeysOncePerStream) {
     obs::set_enabled(true);
     const ReaderCounters before = ReaderCounters::sample();
 
-    AttributeRegistry registry;
-    std::vector<IdRecord> out;
-    read_json_records(is, registry,
-                      [&out](IdRecord&& r) { out.push_back(std::move(r)); });
+    const std::vector<RecordMap> out = read_json_records(is);
 
     const ReaderCounters delta = ReaderCounters::sample() - before;
     obs::set_enabled(false);
@@ -247,57 +273,72 @@ TEST(RecordPipeline, JsonReaderResolvesKeysOncePerStream) {
     EXPECT_LT(delta.name_resolutions, delta.entries);
 }
 
-// --- id API vs name API produce identical records ---------------------------
+// --- batch API vs name API produce identical records ------------------------
 
-TEST(RecordPipeline, CaliIdAndNameApisAgree) {
+namespace {
+
+/// Every row of \a batch, in order, converted back to names.
+void append_rows(const RecordBatch& batch, const AttributeRegistry& registry,
+                 std::vector<RecordMap>& out) {
+    IdRecord row;
+    for (std::size_t r = 0; r < batch.rows(); ++r) {
+        batch.materialize(r, row);
+        out.push_back(to_recordmap(row, registry));
+    }
+}
+
+} // namespace
+
+TEST(RecordPipeline, CaliBatchAndNameApisAgree) {
     const auto rs = sample_records();
     const std::string stream = to_stream(rs);
 
     std::istringstream is_name(stream);
     const std::vector<RecordMap> by_name = CaliReader::read_all(is_name);
 
-    std::istringstream is_id(stream);
     AttributeRegistry registry;
-    std::vector<RecordMap> by_id;
-    CaliReader::read(is_id, registry, [&](IdRecord&& r) {
-        by_id.push_back(to_recordmap(r, registry));
+    std::vector<RecordMap> by_batch;
+    CaliReader::read_buffer_batches(stream, registry, 7, [&](RecordBatch& b) {
+        append_rows(b, registry, by_batch);
     });
 
-    ASSERT_EQ(by_name.size(), by_id.size());
+    ASSERT_EQ(by_name.size(), by_batch.size());
     for (std::size_t i = 0; i < by_name.size(); ++i)
-        EXPECT_EQ(by_name[i], by_id[i]) << "record " << i;
+        EXPECT_EQ(by_name[i], by_batch[i]) << "record " << i;
 }
 
-TEST(RecordPipeline, JsonIdAndNameApisAgree) {
+TEST(RecordPipeline, JsonBatchAndNameApisAgree) {
     const std::string text = R"([{"a": 1, "b": "x"}, {"a": 2.5, "c": true}])";
 
     const std::vector<RecordMap> by_name = read_json_records(text);
 
-    std::istringstream is(text);
+    calib::test::TempDir dir("json-batch");
+    const std::string path = dir.file("r.json");
+    std::ofstream(path) << text;
     AttributeRegistry registry;
-    std::vector<RecordMap> by_id;
-    read_json_records(is, registry, [&](IdRecord&& r) {
-        by_id.push_back(to_recordmap(r, registry));
+    std::vector<RecordMap> by_batch;
+    read_json_file_batches(path, registry, 1, [&](RecordBatch& b) {
+        append_rows(b, registry, by_batch);
     });
 
-    ASSERT_EQ(by_name.size(), by_id.size());
+    ASSERT_EQ(by_name.size(), by_batch.size());
     for (std::size_t i = 0; i < by_name.size(); ++i)
-        EXPECT_EQ(by_name[i], by_id[i]) << "record " << i;
+        EXPECT_EQ(by_name[i], by_batch[i]) << "record " << i;
 }
 
-TEST(RecordPipeline, GlobalsThroughIdApi) {
+TEST(RecordPipeline, GlobalsThroughBatchApi) {
     std::ostringstream os;
     CaliWriter w(os);
     w.write_global("problem.size", Variant(4096ll));
     w.write_global("run.id", Variant("exp-17"));
     w.write_record(record({{"kernel", Variant("k")}, {"time", Variant(1.0)}}));
 
-    std::istringstream is(os.str());
     AttributeRegistry registry;
     IdRecord globals;
     std::uint64_t records = 0;
-    CaliReader::read(is, registry, [&records](IdRecord&&) { ++records; },
-                     &globals);
+    CaliReader::read_buffer_batches(
+        os.str(), registry, 1024, [&records](RecordBatch& b) { records += b.rows(); },
+        &globals);
 
     EXPECT_EQ(records, 1u);
     const RecordMap g = to_recordmap(globals, registry);
@@ -307,7 +348,7 @@ TEST(RecordPipeline, GlobalsThroughIdApi) {
 
 // --- records wider than snapshot capacity -----------------------------------
 
-TEST(RecordPipeline, WideRecordTruncationMatchesShim) {
+TEST(RecordPipeline, WideRecordTruncationAgrees) {
     // both paths must agree on aggregation over records wider than
     // SnapshotRecord::max_entries (the first max_entries are processed)
     RecordMap wide;

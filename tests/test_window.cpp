@@ -89,6 +89,14 @@ protected:
         return r;
     }
 
+    /// Fold one record as a one-row batch.
+    static void process(WindowedAggregator& agg, const IdRecord& r) {
+        RecordBatch batch;
+        batch.append_record(r);
+        const std::uint32_t row = 0;
+        agg.process_batch(batch, std::span<const std::uint32_t>(&row, 1));
+    }
+
     AttributeRegistry registry;
 };
 
@@ -102,12 +110,12 @@ std::uint64_t count_of(const std::vector<RecordMap>& rows, const char* kernel) {
 TEST_F(WindowTest, TumblingWindowKeepsOnlyCurrentPane) {
     WindowedAggregator agg(AggregationConfig::parse("count", "kernel"),
                            window(10), &registry);
-    agg.process(rec(1, "a"));
-    agg.process(rec(2, "a"));
+    process(agg, rec(1, "a"));
+    process(agg, rec(2, "a"));
     EXPECT_EQ(agg.flush().size(), 1u);
 
     // crossing into pane 1 retires pane 0 (tumbling: one live pane)
-    agg.process(rec(10, "b"));
+    process(agg, rec(10, "b"));
     auto rows = agg.flush();
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(count_of(rows, "b"), 1u);
@@ -119,7 +127,7 @@ TEST_F(WindowTest, SlidingWindowFoldsLivePanes) {
     WindowedAggregator agg(AggregationConfig::parse("count", "kernel"),
                            window(30, 10), &registry);
     for (int pane = 0; pane < 5; ++pane)
-        agg.process(rec(pane * 10 + 1, pane % 2 ? "odd" : "even"));
+        process(agg, rec(pane * 10 + 1, pane % 2 ? "odd" : "even"));
 
     // watermark = pane 4; live = panes {2, 3, 4}
     auto rows = agg.flush();
@@ -132,9 +140,9 @@ TEST_F(WindowTest, SlidingWindowFoldsLivePanes) {
 TEST_F(WindowTest, BoundaryTimestampOpensNewPane) {
     WindowedAggregator agg(AggregationConfig::parse("count", "kernel"),
                            window(20, 10), &registry);
-    agg.process(rec(9.999, "a")); // pane 0
-    agg.process(rec(10, "b"));    // pane 1 — exactly on the edge
-    agg.process(rec(20, "c"));    // pane 2; retires pane 0
+    process(agg, rec(9.999, "a")); // pane 0
+    process(agg, rec(10, "b"));    // pane 1 — exactly on the edge
+    process(agg, rec(20, "c"));    // pane 2; retires pane 0
     auto rows = agg.flush();
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(count_of(rows, "b"), 1u);
@@ -144,10 +152,10 @@ TEST_F(WindowTest, BoundaryTimestampOpensNewPane) {
 TEST_F(WindowTest, OutOfOrderWithinWindowMerges) {
     WindowedAggregator agg(AggregationConfig::parse("count", "kernel"),
                            window(30, 10), &registry);
-    agg.process(rec(25, "a")); // pane 2 (watermark)
-    agg.process(rec(5, "a"));  // pane 0 — older but still live
-    agg.process(rec(15, "a")); // pane 1
-    agg.process(rec(26, "a")); // pane 2 again (duplicate timestamp region)
+    process(agg, rec(25, "a")); // pane 2 (watermark)
+    process(agg, rec(5, "a"));  // pane 0 — older but still live
+    process(agg, rec(15, "a")); // pane 1
+    process(agg, rec(26, "a")); // pane 2 again (duplicate timestamp region)
     auto rows = agg.flush();
     EXPECT_EQ(count_of(rows, "a"), 4u);
     EXPECT_EQ(agg.dropped_late(), 0u);
@@ -156,10 +164,10 @@ TEST_F(WindowTest, OutOfOrderWithinWindowMerges) {
 TEST_F(WindowTest, LateRecordsDropDeterministically) {
     WindowedAggregator agg(AggregationConfig::parse("count", "kernel"),
                            window(20, 10), &registry);
-    agg.process(rec(35, "a")); // watermark pane 3; live floor = pane 2
-    agg.process(rec(5, "b"));  // pane 0: late, dropped
-    agg.process(rec(19, "b")); // pane 1: late, dropped
-    agg.process(rec(25, "c")); // pane 2: still live
+    process(agg, rec(35, "a")); // watermark pane 3; live floor = pane 2
+    process(agg, rec(5, "b"));  // pane 0: late, dropped
+    process(agg, rec(19, "b")); // pane 1: late, dropped
+    process(agg, rec(25, "c")); // pane 2: still live
     auto rows = agg.flush();
     EXPECT_EQ(rows.size(), 2u);
     EXPECT_EQ(agg.dropped_late(), 2u);
@@ -169,16 +177,16 @@ TEST_F(WindowTest, LateRecordsDropDeterministically) {
 TEST_F(WindowTest, MissingAndNonNumericTimestampsDropAndCount) {
     WindowedAggregator agg(AggregationConfig::parse("count", "kernel"),
                            window(10), &registry);
-    agg.process(rec(1, "a"));
-    agg.process(rec_no_time("a")); // no time.offset at all
+    process(agg, rec(1, "a"));
+    process(agg, rec_no_time("a")); // no time.offset at all
     IdRecord bad;
     bad.append(registry.create("time.offset", Variant::Type::Double).id(),
                Variant("noon")); // non-numeric timestamp
     bad.append(registry.create("kernel", Variant::Type::String).id(),
                Variant("a"));
-    agg.process(bad);
+    process(agg, bad);
     IdRecord nan_rec = rec(std::nan(""), "a");
-    agg.process(nan_rec);
+    process(agg, nan_rec);
 
     auto rows = agg.flush();
     EXPECT_EQ(count_of(rows, "a"), 1u); // only the timestamped record counts
@@ -188,12 +196,12 @@ TEST_F(WindowTest, MissingAndNonNumericTimestampsDropAndCount) {
 TEST_F(WindowTest, ClearKeepsWatermarkSoLateStaysLate) {
     WindowedAggregator agg(AggregationConfig::parse("count", "kernel"),
                            window(10), &registry);
-    agg.process(rec(55, "a")); // watermark pane 5
+    process(agg, rec(55, "a")); // watermark pane 5
     agg.clear();               // early flush drops contents, keeps watermark
     EXPECT_TRUE(agg.empty());
     EXPECT_EQ(agg.watermark(), std::optional<std::int64_t>(5));
 
-    agg.process(rec(5, "b")); // pane 0: late relative to the kept watermark
+    process(agg, rec(5, "b")); // pane 0: late relative to the kept watermark
     EXPECT_TRUE(agg.empty());
     EXPECT_EQ(agg.dropped_late(), 1u);
 }
@@ -208,7 +216,7 @@ TEST_F(WindowTest, SerializeRoundTripMatchesDirect) {
         IdRecord r = rec(t, k);
         r.append(registry.create("v", Variant::Type::Int).id(),
                  Variant(static_cast<long long>(t)));
-        a.process(r);
+        process(a, r);
     };
     for (int i = 0; i < 20; ++i) {
         feed(direct, i * 3.0, i % 2 ? "x" : "y");
@@ -235,8 +243,8 @@ TEST_F(WindowTest, MergeCombinesWatermarksAsMax) {
     const auto cfg = AggregationConfig::parse("count", "kernel");
     WindowedAggregator a(cfg, window(10), &registry);
     WindowedAggregator b(cfg, window(10), &registry);
-    a.process(rec(5, "old"));  // watermark pane 0
-    b.process(rec(95, "new")); // watermark pane 9
+    process(a, rec(5, "old"));  // watermark pane 0
+    process(b, rec(95, "new")); // watermark pane 9
 
     a.merge(std::move(b));
     EXPECT_EQ(a.watermark(), std::optional<std::int64_t>(9));
@@ -254,13 +262,98 @@ TEST_F(WindowTest, SpilledPanesSurviveTheFlushFold) {
                            window(1000), &registry);
     agg.set_memory_budget(1);
     for (int i = 0; i < 48; ++i)
-        agg.process(rec(i, ("k" + std::to_string(i)).c_str()));
+        process(agg, rec(i, ("k" + std::to_string(i)).c_str()));
 
     const std::vector<RecordMap> rows = agg.flush();
     ASSERT_EQ(rows.size(), 48u);
     for (int i = 0; i < 48; ++i) {
         const std::string kernel = "k" + std::to_string(i);
         EXPECT_EQ(count_of(rows, kernel.c_str()), 1u) << kernel;
+    }
+}
+
+TEST_F(WindowTest, BatchedPaneAssignmentMatchesOneRowBatches) {
+    // one batch over panes 0..4 (window 30us, slide 10us: 3 live panes)
+    // with a watermark jump that retires panes 0 and 1 mid-batch, late
+    // rows, rows without a usable time, an overflow row, and a row left
+    // out of the selection
+    const id_t t = registry.create("time.offset", Variant::Type::Double).id();
+    const id_t k = registry.create("kernel", Variant::Type::String).id();
+    const id_t v = registry.create("v", Variant::Type::Int).id();
+    struct Row {
+        Variant time;
+        const char* kernel;
+        long long v;
+    };
+    const std::vector<Row> rows = {
+        {Variant(1.0), "a", 1},       {Variant(2.0), "b", 2},
+        {Variant(), "a", 4},          {Variant(12.0), "a", 8},
+        {Variant(15.0), "b", 16},     {Variant(13.0), "b", 32},
+        {Variant(45.0), "a", 64}, // watermark pane 1 -> 4: panes 0, 1 retire
+        {Variant(5.0), "b", 128},     {Variant(25.0), "a", 256},
+        {Variant(41.0), "b", 512},    {Variant("noon"), "a", 1024},
+        {Variant(18.0), "a", 2048},   {Variant(33.0), "b", 4096},
+        {Variant(44.0), "a", 8192},
+    };
+    RecordBatch batch;
+    std::vector<IdRecord> input;
+    for (const Row& row : rows) {
+        IdRecord r;
+        if (!row.time.empty())
+            r.append(t, row.time);
+        r.append(k, Variant(row.kernel));
+        r.append(v, Variant(row.v));
+        input.push_back(r);
+    }
+    IdRecord permuted; // fields out of column order: an overflow row
+    permuted.append(k, Variant("b"));
+    permuted.append(t, Variant(42.0));
+    permuted.append(v, Variant(16384LL));
+    input.push_back(permuted);
+    for (const IdRecord& r : input)
+        batch.append_record(r);
+    ASSERT_TRUE(batch.is_overflow(input.size() - 1));
+    std::vector<std::uint32_t> selection;
+    for (std::uint32_t r = 0; r < batch.rows(); ++r)
+        if (r != 4)
+            selection.push_back(r);
+
+    const auto cfg = AggregationConfig::parse("count,sum(v)", "kernel");
+    WindowedAggregator batched(cfg, window(30, 10), &registry);
+    batched.process_batch(batch, selection);
+    WindowedAggregator one_row(cfg, window(30, 10), &registry);
+    for (const std::uint32_t r : selection)
+        process(one_row, input[r]);
+
+    // pane-wise state, watermark and drop counters all travel in serialize()
+    EXPECT_EQ(batched.serialize(), one_row.serialize());
+    EXPECT_EQ(batched.watermark(), std::optional<std::int64_t>(4));
+    EXPECT_EQ(batched.watermark(), one_row.watermark());
+    EXPECT_EQ(batched.dropped_late(), 2u); // t=5 and t=18
+    EXPECT_EQ(batched.dropped_late(), one_row.dropped_late());
+    EXPECT_EQ(batched.dropped_no_time(), 2u); // no time, "noon"
+    EXPECT_EQ(batched.dropped_no_time(), one_row.dropped_no_time());
+    EXPECT_EQ(batched.pane_count(), 3u);
+
+    // per-window oracle: the selected rows whose pane is in the final live
+    // range [watermark - 2, watermark]
+    std::uint64_t want_count[2] = {0, 0};
+    long long want_sum[2]       = {0, 0};
+    for (const std::uint32_t r : selection) {
+        const auto p = pane_index(input[r].get(t), 10);
+        if (!p || *p < 2)
+            continue;
+        const int g = input[r].get(k) == Variant("a") ? 0 : 1;
+        ++want_count[g];
+        want_sum[g] += input[r].get(v).to_int();
+    }
+    const std::vector<RecordMap> got = batched.flush();
+    ASSERT_EQ(got.size(), 2u);
+    const char* kernels[] = {"a", "b"};
+    for (int g = 0; g < 2; ++g) {
+        const RecordMap row = find_record(got, "kernel", Variant(kernels[g]));
+        EXPECT_EQ(row.get("count").to_uint(), want_count[g]) << kernels[g];
+        EXPECT_EQ(row.get("sum#v").to_int(), want_sum[g]) << kernels[g];
     }
 }
 
@@ -374,11 +467,10 @@ TEST(WindowEngine, ByteIdenticalAcrossThreadsStrategiesAndBatchSizes) {
         for (const engine::MergeStrategy strategy :
              {engine::MergeStrategy::Pairwise, engine::MergeStrategy::Tree,
               engine::MergeStrategy::Radix}) {
-            for (const std::size_t batch : {0u, 7u, 64u}) {
+            for (const std::size_t batch : {1u, 7u, 64u}) {
                 engine::EngineOptions opts;
                 opts.threads        = threads;
                 opts.merge_strategy = strategy;
-                opts.batched        = batch != 0;
                 opts.batch_size     = batch;
                 EXPECT_EQ(run_engine(query, files, opts), golden)
                     << "threads=" << threads << " strategy="
