@@ -8,8 +8,10 @@
 //
 // The daemon is a single-threaded serialization point, so total ingest
 // throughput should stay roughly flat as clients increase while per-
-// client throughput divides; query latency grows with channel size, not
-// client count. Emits JSON to stdout and BENCH_proxyd.json.
+// client throughput divides. An exact-mode aggregation answer probes once
+// per distinct stored row (each row carries its multiplicity), so query
+// latency grows with the number of distinct rows, not with the records
+// ingested or the client count. Emits JSON to stdout and BENCH_proxyd.json.
 //
 // Environment knobs:
 //   CALIB_BENCH_PROXYD_RECORDS  records per client   (default 50000)

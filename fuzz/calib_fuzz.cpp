@@ -4,7 +4,8 @@
 // a batch of generated queries, checked through the full engine matrix
 // against the naive oracle (see differential.hpp). A failing seed number
 // IS the bug report — rerun with --seed N to replay it, and pass --out to
-// dump minimized reproducers (input.cali / query.calql / failure.txt).
+// dump minimized reproducers (input.cali / query.calql / multiplicities.txt
+// / failure.txt).
 //
 // Usage:
 //   calib-fuzz [--seed-range A:B] [--seed N] [--queries N] [--out DIR] [-v]

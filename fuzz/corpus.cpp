@@ -211,6 +211,16 @@ Corpus generate_corpus(std::uint64_t seed) {
         }
         corpus.records.push_back(std::move(record));
     }
+    // drawn from a stream of their own, so the records and bytes above
+    // stay what each seed has always produced
+    Rng mrng(seed ^ 0x3e1647edULL);
+    for (std::size_t r = 0; r < n_records; ++r) {
+        const std::uint64_t roll = mrng.below(64);
+        corpus.multiplicities.push_back(roll < 52   ? 1
+                                        : roll < 62 ? 2 + mrng.below(7)
+                                        : roll == 62 ? 1025
+                                                     : 3000);
+    }
 
     std::ostringstream os;
     CaliWriter writer(os);
@@ -223,6 +233,7 @@ Corpus generate_corpus(std::uint64_t seed) {
     if (seed % 5 == 4) { // every fifth seed: malformed-input class
         mutate(corpus.cali_text, rng);
         corpus.records.clear();
+        corpus.multiplicities.clear();
         corpus.well_formed = false;
     }
     return corpus;

@@ -29,6 +29,11 @@ struct Corpus {
     /// streams, which have no reliable ground truth.
     std::vector<RecordMap> records;
 
+    /// How many identical copies of each record the weighted family feeds
+    /// as one weighted row (parallel to records: mostly 1, some 2-8, a few
+    /// 1025 or 3000 so one row outweighs a batch).
+    std::vector<std::uint64_t> multiplicities;
+
     /// The serialized .cali stream the engines will read.
     std::string cali_text;
 

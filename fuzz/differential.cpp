@@ -341,6 +341,43 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
         return failures;
     }
 
+    // weighted family: one RecordMapFeeder row of weight m (the record's
+    // corpus multiplicity) must answer exactly like m rows of weight 1 —
+    // output bytes and record counts — unbudgeted and under a 1-byte
+    // budget (where a weighted row must spill where its copies did)
+    {
+        for (const std::size_t budget : {std::size_t(0), std::size_t(1)}) {
+            const auto run = [&](bool weighted) {
+                QueryProcessor proc(spec);
+                proc.set_aggregation_memory_budget(budget);
+                RecordMapFeeder feed(proc);
+                for (std::size_t i = 0; i < corpus.records.size(); ++i) {
+                    const std::uint64_t m = i < corpus.multiplicities.size()
+                                                ? corpus.multiplicities[i]
+                                                : 1;
+                    if (weighted)
+                        feed.add(corpus.records[i], m);
+                    else
+                        for (std::uint64_t c = 0; c < m; ++c)
+                            feed.add(corpus.records[i]);
+                }
+                feed.flush();
+                std::ostringstream os;
+                proc.write(os);
+                return std::to_string(proc.num_records_in()) + " in, " +
+                       std::to_string(proc.num_records_kept()) + " kept\n" +
+                       os.str();
+            };
+            const std::string expanded = run(false);
+            const std::string weighted = run(true);
+            if (weighted != expanded)
+                failures.push_back(std::string("weighted rows differ from expanded "
+                                               "rows") +
+                                   (budget ? " under spill" : "") + " at " +
+                                   first_difference(expanded, weighted));
+        }
+    }
+
     // oracle agreement: engine rows and serial-processor rows
     const OracleResult oracle = oracle_run(spec, corpus.records);
     for (const std::string& m : oracle_compare(spec, oracle, base.rows))
@@ -412,6 +449,10 @@ void shrink(Corpus& corpus, std::string& query, std::uint64_t case_salt,
                                         static_cast<std::ptrdiff_t>(start),
                                     candidate.records.begin() +
                                         static_cast<std::ptrdiff_t>(end));
+            // each surviving record keeps its multiplicity
+            candidate.multiplicities.erase(
+                candidate.multiplicities.begin() + static_cast<std::ptrdiff_t>(start),
+                candidate.multiplicities.begin() + static_cast<std::ptrdiff_t>(end));
             rebuild_text(candidate);
             if (still_fails(candidate, query)) {
                 corpus      = std::move(candidate);
@@ -481,6 +522,12 @@ void dump_reproducer(const Corpus& corpus, const std::string& query,
         return;
     std::ofstream(dir + "/input.cali", std::ios::binary) << corpus.cali_text;
     std::ofstream(dir + "/query.calql", std::ios::binary) << query << "\n";
+    if (!corpus.multiplicities.empty()) {
+        // line i: the weighted family's multiplicity of input.cali record i
+        std::ofstream mult(dir + "/multiplicities.txt", std::ios::binary);
+        for (const std::uint64_t m : corpus.multiplicities)
+            mult << m << "\n";
+    }
     std::ofstream failure(dir + "/failure.txt", std::ios::binary);
     for (const std::string& f : outcome.failures)
         failure << f << "\n";

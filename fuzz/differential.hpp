@@ -6,7 +6,9 @@
 // ParallelQueryProcessor at 1/2/4 threads, mmap and read()-fallback I/O,
 // with and without forced early flushes, the default batch size plus
 // forced tiny batch sizes 1/2/7 (one-row batches at 1 and 2 threads), and
-// a forced-spill family under a 1-byte aggregation memory budget — and
+// a forced-spill family under a 1-byte aggregation memory budget, and a
+// weighted family (RecordMapFeeder rows of seeded multiplicity vs the
+// same rows expanded copy by copy, with and without that budget) — and
 // checks three independent properties:
 //
 //   1. engine-family determinism: every parallel configuration sharing a
@@ -16,7 +18,8 @@
 //      with flush off); the forced-spill family is byte-compared within
 //      itself (spilled merges may regroup floating-point additions, so
 //      spill-on vs spill-off is checked through the tolerant oracle
-//      instead);
+//      instead); a weighted row answers byte-identically to its copies,
+//      record counts included;
 //   2. oracle agreement: engine (unspilled and spilled) and serial
 //      results match the naive exact oracle (exactly for
 //      counts/min/max/histograms/integer sums, within a forward error

@@ -6,7 +6,6 @@
 #include "../obs/metrics.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -58,34 +57,14 @@ const Variant* find_entry(std::span<const Entry> record, id_t attribute) {
     return nullptr;
 }
 
-/// Total order on key values consistent with Variant's bitwise equality
-/// (compare == 0 iff the Variants compare equal): type tag first, then the
-/// exact payload — doubles by bit pattern (so -0.0/+0.0 and NaN payloads
-/// stay distinct, matching operator==), strings by content (interned:
-/// equal content is pointer-equal).
-int compare_key_value(const Variant& a, const Variant& b) {
-    const int ta = static_cast<int>(a.type());
-    const int tb = static_cast<int>(b.type());
-    if (ta != tb)
-        return ta < tb ? -1 : 1;
-    switch (a.type()) {
-    case Variant::Type::Empty:
-        return 0;
-    case Variant::Type::Bool:
-        return (a.as_bool() ? 1 : 0) - (b.as_bool() ? 1 : 0);
-    case Variant::Type::Int:
-        return a.as_int() < b.as_int() ? -1 : a.as_int() > b.as_int() ? 1 : 0;
-    case Variant::Type::UInt:
-        return a.as_uint() < b.as_uint() ? -1 : a.as_uint() > b.as_uint() ? 1 : 0;
-    case Variant::Type::Double: {
-        const std::uint64_t ba = std::bit_cast<std::uint64_t>(a.as_double());
-        const std::uint64_t bb = std::bit_cast<std::uint64_t>(b.as_double());
-        return ba < bb ? -1 : ba > bb ? 1 : 0;
-    }
-    case Variant::Type::String:
-        return std::strcmp(a.as_cstr(), b.as_cstr());
-    }
-    return 0;
+/// Fold \a copies copies of \a value into \a state; one copy takes the
+/// plain update, the unweighted hot path.
+void update_copies(AggOp op, std::uint64_t* state, const Variant& value,
+                   std::uint64_t copies) {
+    if (copies == 1)
+        kernel::state_update(op, state, value);
+    else
+        kernel::state_update_n(op, state, value, copies);
 }
 
 /// Lexicographic total order on whole keys, consistent with keys_equal().
@@ -96,7 +75,7 @@ int compare_keys(const Entry* a, std::size_t alen, const Entry* b, std::size_t b
     for (std::size_t i = 0; i < n; ++i) {
         if (a[i].attribute != b[i].attribute)
             return a[i].attribute < b[i].attribute ? -1 : 1;
-        const int c = compare_key_value(a[i].value, b[i].value);
+        const int c = a[i].value.identity_compare(b[i].value);
         if (c != 0)
             return c;
     }
@@ -389,7 +368,7 @@ bool AggregationDB::skip_in_implicit_key(id_t attr) {
     return flag != 0;
 }
 
-void AggregationDB::process(std::span<const Entry> record) {
+void AggregationDB::process(std::span<const Entry> record, std::uint64_t copies) {
     resolve_ids();
 
     // mirror snapshot capacity: entries beyond max_entries are dropped
@@ -421,11 +400,18 @@ void AggregationDB::process(std::span<const Entry> record) {
         }
     }
 
-    const std::uint64_t h   = hash_key(key, key_len);
-    const std::size_t index = find_or_insert(key, key_len, h);
-    update_ops(index, record);
-    ++processed_;
-    aggdb_records.add();
+    const std::uint64_t h = hash_key(key, key_len);
+    std::size_t index     = find_or_insert(key, key_len, h);
+    processed_ += copies;
+    aggdb_records.add(copies);
+    if (copies > 1 && spill_limit_ != 0 && entries_.size() >= spill_limit_) {
+        // see process_batch: the first copy spills alone
+        update_ops(index, record, 1);
+        spill_current_run();
+        index = find_or_insert(key, key_len, h);
+        --copies;
+    }
+    update_ops(index, record, copies);
     maybe_spill();
 }
 
@@ -526,16 +512,17 @@ void AggregationDB::process_batch(const RecordBatch& batch,
     std::uint32_t memo_len  = 0;
     std::size_t ki          = 0;
     for (const std::uint32_t r : selection) {
-        const RowKey rk = row_keys_[ki++];
+        const RowKey rk      = row_keys_[ki++];
+        std::uint64_t copies = batch.weight(r);
         if (rk.len == UINT32_MAX) {
             // overflow rows keep their exact record; oversized conforming
             // rows materialize, then process() truncates them
-            if (batch.is_overflow(r)) {
-                process(batch.overflow_record(r).span());
-            } else {
+            const IdRecord* rec = &fallback_rec_;
+            if (batch.is_overflow(r))
+                rec = &batch.overflow_record(r);
+            else
                 batch.materialize(r, fallback_rec_);
-                process(fallback_rec_.span());
-            }
+            process(rec->span(), copies);
             memo_index = static_cast<std::size_t>(-1); // process() may spill
             continue;
         }
@@ -554,9 +541,21 @@ void AggregationDB::process_batch(const RecordBatch& batch,
             memo_off   = rk.offset;
             memo_len   = rk.len;
         }
-        update_ops_cols(index, batch, r);
-        ++processed_;
-        ++direct;
+        if (copies > 1 && spill_limit_ != 0 && entries_.size() >= spill_limit_) {
+            // the first copy fills the table to the spill limit: it spills
+            // alone and the other copies start the fresh table, exactly
+            // where copy-by-copy folding would put them
+            update_ops_cols(index, batch, r, 1);
+            ++processed_;
+            ++direct;
+            --copies;
+            spill_current_run();
+            index      = find_or_insert(key, rk.len, rk.hash);
+            memo_index = index;
+        }
+        update_ops_cols(index, batch, r, copies);
+        processed_ += copies;
+        direct += copies;
         if (spill_limit_ != 0 && entries_.size() >= spill_limit_) {
             spill_current_run();
             memo_index = static_cast<std::size_t>(-1); // entries_ restarted
@@ -634,11 +633,12 @@ const std::uint64_t* AggregationDB::entry_state(std::size_t entry_index,
            op_state_offsets_[op_index];
 }
 
-void AggregationDB::update_ops(std::size_t entry_index, std::span<const Entry> record) {
+void AggregationDB::update_ops(std::size_t entry_index, std::span<const Entry> record,
+                               std::uint64_t copies) {
     for (std::size_t i = 0; i < config_.ops.size(); ++i) {
         const AggOp op = config_.ops[i].op;
         if (agg_op_is_nullary(op)) {
-            kernel::state_update(op, entry_state(entry_index, i), Variant());
+            update_copies(op, entry_state(entry_index, i), Variant(), copies);
             continue;
         }
         const Variant* v =
@@ -646,16 +646,16 @@ void AggregationDB::update_ops(std::size_t entry_index, std::span<const Entry> r
         if ((!v || v->empty()) && op_fallback_ids_[i] != invalid_id)
             v = find_entry(record, op_fallback_ids_[i]);
         if (v && !v->empty())
-            kernel::state_update(op, entry_state(entry_index, i), *v);
+            update_copies(op, entry_state(entry_index, i), *v, copies);
     }
 }
 
 void AggregationDB::update_ops_cols(std::size_t entry_index, const RecordBatch& batch,
-                                    std::size_t row) {
+                                    std::size_t row, std::uint64_t copies) {
     for (std::size_t i = 0; i < config_.ops.size(); ++i) {
         const AggOp op = config_.ops[i].op;
         if (agg_op_is_nullary(op)) {
-            kernel::state_update(op, entry_state(entry_index, i), Variant());
+            update_copies(op, entry_state(entry_index, i), Variant(), copies);
             continue;
         }
         const Variant* v      = nullptr;
@@ -673,7 +673,7 @@ void AggregationDB::update_ops_cols(std::size_t entry_index, const RecordBatch& 
                 v = &c.values[row];
         }
         if (v && !v->empty())
-            kernel::state_update(op, entry_state(entry_index, i), *v);
+            update_copies(op, entry_state(entry_index, i), *v, copies);
     }
 }
 
@@ -1015,9 +1015,10 @@ std::vector<AggregationDB> AggregationDB::extract_partitions(unsigned bits) {
         EntryRec out       = rec;
         out.key_offset     = key_cur[p];
         out.state_offset   = state_cur[p];
-        std::memcpy(dst.key_arena_.data() + key_cur[p],
-                    key_arena_.data() + rec.key_offset,
-                    rec.key_len * sizeof(Entry));
+        if (rec.key_len != 0) // a partition of empty keys has a null arena
+            std::memcpy(dst.key_arena_.data() + key_cur[p],
+                        key_arena_.data() + rec.key_offset,
+                        rec.key_len * sizeof(Entry));
         std::memcpy(dst.state_arena_.data() + state_cur[p],
                     state_arena_.data() + rec.state_offset,
                     state_stride_ * sizeof(std::uint64_t));

@@ -67,8 +67,10 @@ public:
     /// Fold one record — a flat sequence of (attribute-id, value) entries —
     /// into the database (streaming reduction). Entries beyond
     /// SnapshotRecord::max_entries are ignored (mirroring snapshot
-    /// capacity, so the online and offline paths agree).
-    void process(std::span<const Entry> record);
+    /// capacity, so the online and offline paths agree). \a copies (>= 1)
+    /// folds that many identical records with one probe, exactly as that
+    /// many calls would.
+    void process(std::span<const Entry> record, std::uint64_t copies = 1);
 
     /// Fold one snapshot record into the database.
     void process(const SnapshotRecord& record) {
@@ -82,7 +84,9 @@ public:
     /// and op attributes resolve to columns once, then a tight probe +
     /// per-column update loop runs over the selection vector. Overflow
     /// rows and rows beyond SnapshotRecord::max_entries fall back to
-    /// process(). Byte-identical to calling process() per selected row.
+    /// process(). Byte-identical to calling process() per selected row,
+    /// a row of weight n as n times: it is probed once and its kernels
+    /// take n copies through kernel::state_update_n().
     void process_batch(const RecordBatch& batch,
                        std::span<const std::uint32_t> selection);
 
@@ -204,9 +208,10 @@ private:
     void append_entry_unchecked(const AggregationDB& src, const EntryRec& rec);
     void merge_serialized_impl(std::span<const std::byte> data, unsigned bits,
                                std::size_t partition);
-    void update_ops(std::size_t entry_index, std::span<const Entry> record);
+    void update_ops(std::size_t entry_index, std::span<const Entry> record,
+                    std::uint64_t copies);
     void update_ops_cols(std::size_t entry_index, const RecordBatch& batch,
-                         std::size_t row);
+                         std::size_t row, std::uint64_t copies);
     std::uint64_t* entry_state(std::size_t entry_index, std::size_t op_index);
     const std::uint64_t* entry_state(std::size_t entry_index, std::size_t op_index) const;
 

@@ -227,6 +227,64 @@ void state_update(AggOp op, void* state, const Variant& value) noexcept {
     }
 }
 
+void state_update_n(AggOp op, void* state, const Variant& value,
+                    std::uint64_t n) noexcept {
+    if (n == 0)
+        return;
+    const bool numeric = value.is_numeric() || value.is_bool();
+    const bool nan =
+        value.type() == Variant::Type::Double && std::isnan(value.as_double());
+    switch (op) {
+    case AggOp::Count:
+        as<CountState>(state)->count += n;
+        return;
+    case AggOp::Sum:
+    case AggOp::PercentTotal: {
+        if (!numeric || nan)
+            return; // ignored inputs, as in sum_update
+        auto* s = as<SumState>(state);
+        std::int64_t iv, add, next;
+        // every partial sum lies between isum and isum + n*iv, so when
+        // both fit int64 no single update would have widened
+        if (s->kind != 2 && int_addend(value, &iv) &&
+            !__builtin_mul_overflow(iv, n, &add) &&
+            !__builtin_add_overflow(s->isum, add, &next)) {
+            s->isum = next;
+            s->kind = 1;
+            s->updates += static_cast<std::uint32_t>(n); // wraps like ++
+            return;
+        }
+        break;
+    }
+    case AggOp::Min:
+    case AggOp::Max:
+        state_update(op, state, value); // idempotent
+        return;
+    case AggOp::Avg:
+    case AggOp::Variance:
+        if (!numeric || nan)
+            return;
+        break;
+    case AggOp::Histogram: {
+        if (!numeric)
+            return;
+        auto* s        = as<HistogramState>(state);
+        const double x = value.to_double();
+        s->bins[histogram_bin_index(x)] += n;
+        s->n += n;
+        if (!std::isnan(x)) {
+            s->vmin = std::min(s->vmin, x);
+            s->vmax = std::max(s->vmax, x);
+        }
+        return;
+    }
+    }
+    // floating-point sums, a widening integer sum, avg and variance: repeat
+    // the update in order
+    for (std::uint64_t i = 0; i < n; ++i)
+        state_update(op, state, value);
+}
+
 void state_merge(AggOp op, void* state, const void* other) noexcept {
     switch (op) {
     case AggOp::Count:

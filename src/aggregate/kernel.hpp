@@ -2,7 +2,8 @@
 //
 // Each operator owns a small POD state embedded in the aggregation
 // database's state arena. Kernels support three operations:
-//   update : fold one input value into the state (streaming reduction)
+//   update : fold one input value into the state (streaming reduction),
+//            or n copies of it at once (state_update_n)
 //   merge  : combine two partial states (cross-thread / cross-process)
 //   result : emit the final value(s) as output attributes
 // All states are mergeable, so the same kernels drive online event
@@ -73,6 +74,14 @@ std::size_t state_size(AggOp op) noexcept;
 
 void state_init(AggOp op, void* state) noexcept;
 void state_update(AggOp op, void* state, const Variant& value) noexcept;
+
+/// Fold \a n copies of \a value: the resulting state is bitwise equal to
+/// \a n calls of state_update(). Closed form for count, min/max, the
+/// histogram and an integer sum that stays in int64; floating-point
+/// sums, avg and variance (and an integer sum that widens) repeat the
+/// update inside the kernel, so they stay O(n) but never re-probe.
+void state_update_n(AggOp op, void* state, const Variant& value,
+                    std::uint64_t n) noexcept;
 void state_merge(AggOp op, void* state, const void* other) noexcept;
 
 /// Append the operator result(s) to \a out under cfg.result_label().

@@ -28,12 +28,10 @@ void WindowedAggregator::retire_expired() {
 }
 
 AggregationDB* WindowedAggregator::pane_for(std::int64_t pane) {
-    if (watermark_ && pane < live_floor()) {
+    if (watermark_ && pane < live_floor())
         // the pane this row belongs to has already retired; dropping it
         // here (instead of resurrecting the pane) keeps retirement monotone
-        ++dropped_late_;
         return nullptr;
-    }
     auto it = panes_.find(pane);
     if (it == panes_.end()) {
         it = panes_.try_emplace(pane, config_, registry_).first;
@@ -78,7 +76,7 @@ void WindowedAggregator::process_batch(const RecordBatch& batch,
         }
         const std::optional<std::int64_t> p = pane_index(ts, window_.slide());
         if (!p) {
-            ++dropped_no_time_;
+            dropped_no_time_ += batch.weight(r);
             continue;
         }
         if (!run_db || *p != run_pane) {
@@ -87,8 +85,10 @@ void WindowedAggregator::process_batch(const RecordBatch& batch,
             close_run();
             run_db   = pane_for(*p);
             run_pane = *p;
-            if (!run_db)
+            if (!run_db) {
+                dropped_late_ += batch.weight(r);
                 continue;
+            }
         }
         run_.push_back(r);
     }

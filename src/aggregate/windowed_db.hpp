@@ -51,7 +51,8 @@ public:
     /// looked up, so the watermark advances and panes retire at the same
     /// rows as they would one row at a time. Rows without a usable
     /// timestamp are counted in dropped_no_time(); rows whose pane has
-    /// already retired are counted in dropped_late().
+    /// already retired are counted in dropped_late() (a row of weight n
+    /// counts n).
     void process_batch(const RecordBatch& batch,
                        std::span<const std::uint32_t> selection);
 
@@ -99,7 +100,7 @@ private:
     /// Smallest live pane index, given the current watermark.
     std::int64_t live_floor() const noexcept;
     /// The database of pane \a pane, created on demand and advancing the
-    /// watermark; nullptr when the pane has already retired (counted).
+    /// watermark; nullptr when the pane has already retired.
     AggregationDB* pane_for(std::int64_t pane);
     void retire_expired();
 

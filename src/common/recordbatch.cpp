@@ -74,11 +74,39 @@ void RecordBatch::clear() {
     overflow_of_row_.clear();
     overflow_.clear();
     append_targets_.clear();
+    weights_.clear();
     rows_         = 0;
     in_row_       = false;
     cur_overflow_ = false;
     cur_rec_      = nullptr;
     cur_written_.clear();
+}
+
+void RecordBatch::set_weight(std::size_t row, std::uint64_t weight) {
+    assert(row < rows_ && weight >= 1);
+    if (weights_.size() <= row) {
+        if (weight == 1)
+            return;
+        weights_.resize(row + 1, 1);
+    }
+    weights_[row] = weight;
+}
+
+std::uint64_t RecordBatch::total_weight() const noexcept {
+    std::uint64_t n = rows_ - weights_.size();
+    for (const std::uint64_t w : weights_)
+        n += w;
+    return n;
+}
+
+std::uint64_t
+RecordBatch::total_weight(std::span<const std::uint32_t> selection) const noexcept {
+    if (weights_.empty())
+        return selection.size();
+    std::uint64_t n = 0;
+    for (const std::uint32_t r : selection)
+        n += weight(r);
+    return n;
 }
 
 std::size_t RecordBatch::append_target(id_t attribute) {

@@ -36,6 +36,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace calib {
@@ -109,8 +110,25 @@ public:
     std::size_t rows() const noexcept { return rows_; }
     bool empty() const noexcept { return rows_ == 0; }
 
-    /// Drop all rows. The column layout (stream schema) is retained, so the
-    /// next batch from the same stream refills without re-creating columns.
+    // -- row weights ----------------------------------------------------------
+
+    /// Let \a row stand for \a weight (>= 1) identical records: the query
+    /// pipeline counts, aggregates and emits it as that many copies. Rows
+    /// without a weight weigh 1; readers never set one.
+    void set_weight(std::size_t row, std::uint64_t weight);
+
+    std::uint64_t weight(std::size_t row) const noexcept {
+        return row < weights_.size() ? weights_[row] : 1;
+    }
+
+    /// Records the rows stand for: rows() when no row has a weight.
+    std::uint64_t total_weight() const noexcept;
+    /// Records the \a selection rows stand for.
+    std::uint64_t total_weight(std::span<const std::uint32_t> selection) const noexcept;
+
+    /// Drop all rows and weights. The column layout (stream schema) is
+    /// retained, so the next batch from the same stream refills without
+    /// re-creating columns.
     void clear();
 
     // -- column access (columnar stages) ------------------------------------
@@ -200,6 +218,8 @@ private:
     std::uint32_t cur_entries_  = 0;
     IdRecord* cur_rec_          = nullptr;
     std::vector<std::uint32_t> cur_written_; ///< columns written this row
+
+    std::vector<std::uint64_t> weights_; ///< per-row weight; rows past the end weigh 1
 };
 
 } // namespace calib

@@ -264,6 +264,18 @@ int Variant::compare(const Variant& rhs) const noexcept {
     return a < b ? -1 : a > b ? 1 : 0;
 }
 
+int Variant::identity_compare(const Variant& rhs) const noexcept {
+    if (type_ != rhs.type_)
+        return static_cast<int>(type_) < static_cast<int>(rhs.type_) ? -1 : 1;
+    switch (type_) {
+    case Type::Empty:  return 0;
+    case Type::Bool:   return (u_.b ? 1 : 0) - (rhs.u_.b ? 1 : 0);
+    case Type::Int:    return cmp3(u_.i, rhs.u_.i);
+    case Type::String: return u_.s == rhs.u_.s ? 0 : std::strcmp(u_.s, rhs.u_.s);
+    default:           return cmp3u(u_.u, rhs.u_.u); // UInt; Double bits
+    }
+}
+
 const char* Variant::type_name(Type t) noexcept {
     switch (t) {
     case Type::Empty:  return "empty";

@@ -112,6 +112,13 @@ public:
     /// type tag. Returns <0, 0, >0.
     int compare(const Variant& rhs) const noexcept;
 
+    /// Total order consistent with operator== (0 iff the Variants are
+    /// identical): type tag first, then the exact payload — doubles by bit
+    /// pattern (so -0.0/+0.0 and NaN payloads stay distinct), strings by
+    /// content. Spill runs sort keys by it, and canonical row order breaks
+    /// compare() ties with it.
+    int identity_compare(const Variant& rhs) const noexcept;
+
     static const char* type_name(Type t) noexcept;
     static Type type_from_name(std::string_view name) noexcept;
 

@@ -739,15 +739,20 @@ void ProxyDaemon::write_flush_files(const std::string& pattern) const {
             }
             RecordMap rm = row.record;
             const Variant* have = rm.find("count");
+            std::uint64_t merged = 0;
             if (!have) {
                 rm.append("count", Variant(row.weight));
-            } else if (have->is_numeric()) {
+            } else if (((have->type() == Variant::Type::Int && have->as_int() >= 0) ||
+                        have->type() == Variant::Type::UInt) &&
+                       !__builtin_mul_overflow(have->to_uint(), row.weight, &merged)) {
                 // the record already collapses N snapshots (aggregate-
                 // service output); seen `weight` times it stands for
                 // N*weight — merge rather than emit a duplicate column
-                rm.set("count", Variant(have->to_uint() * row.weight));
+                rm.set("count", Variant(merged));
             } else {
-                // a non-numeric count cannot merge; replay verbatim
+                // a count that cannot merge exactly (non-numeric, negative,
+                // fractional, or a product beyond uint64) is replayed
+                // verbatim, so sum(count) over the file stays the corpus's
                 for (std::uint64_t i = 1; i < row.weight; ++i)
                     writer.write_record(rm);
             }

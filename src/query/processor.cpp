@@ -79,7 +79,7 @@ void QueryProcessor::add_batch(RecordBatch& batch) {
     const std::size_t n = batch.rows();
     if (n == 0)
         return;
-    in_ += n;
+    in_ += batch.total_weight();
     batch_rows.add(n);
     if (!id_lets_.empty()) {
         obs::Timer::Scope t(let_time);
@@ -89,7 +89,7 @@ void QueryProcessor::add_batch(RecordBatch& batch) {
         obs::Timer::Scope t(filter_time);
         id_filter_.matches(batch, sel_);
     }
-    kept_ += sel_.size();
+    kept_ += batch.total_weight(sel_);
     batch_selectivity.add(sel_.size());
     if (sel_.empty())
         return;
@@ -105,7 +105,10 @@ void QueryProcessor::add_batch(RecordBatch& batch) {
             const Variant ts = spec_.window.enabled()
                                    ? passthrough_timestamp(rec_scratch_)
                                    : Variant();
-            add_passthrough(to_recordmap(rec_scratch_, *registry_), ts);
+            RecordMap row = to_recordmap(rec_scratch_, *registry_);
+            for (std::uint64_t c = batch.weight(r); c > 1; --c)
+                add_passthrough(RecordMap(row), ts);
+            add_passthrough(std::move(row), ts);
         }
     }
 }
@@ -138,11 +141,12 @@ void RecordMapFeeder::add(const RecordMap& record, std::uint64_t copies) {
             it->second = proc_.registry()->create(name, value.type()).id();
         row_.append(it->second, value);
     }
-    for (std::uint64_t i = 0; i < copies; ++i) {
-        batch_.append_record(row_);
-        if (batch_.rows() >= RecordBatch::default_rows)
-            flush();
-    }
+    if (copies == 0)
+        return;
+    batch_.append_record(row_);
+    batch_.set_weight(batch_.rows() - 1, copies);
+    if (batch_.rows() >= RecordBatch::default_rows)
+        flush();
 }
 
 void RecordMapFeeder::flush() {
@@ -338,10 +342,17 @@ void QueryProcessor::canonicalize_rows(std::vector<RecordMap>& records) const {
             const int c = std::strcmp(a.first[i]->first, b.first[i]->first);
             if (c != 0)
                 return c < 0;
-            if (a.first[i]->second < b.first[i]->second)
-                return true;
-            if (b.first[i]->second < a.first[i]->second)
-                return false;
+            // compare() ranks 0 and -0 (and NaN payloads) equal, but they
+            // are distinct groups: break its ties by identity, or such rows
+            // keep the hash table's (merge-strategy dependent) order
+            const Variant& va = a.first[i]->second;
+            const Variant& vb = b.first[i]->second;
+            const int v = va.compare(vb);
+            if (v != 0)
+                return v < 0;
+            const int id = va.identity_compare(vb);
+            if (id != 0)
+                return id < 0;
         }
         return a.first.size() < b.first.size();
     });

@@ -46,6 +46,8 @@ public:
     /// panes per run of rows). The batch's attribute ids must come from
     /// registry(); it is consumed as working storage and left in an
     /// unspecified state. Output does not depend on where batches are cut.
+    /// A row of weight n counts, aggregates and emits as n copies, but
+    /// aggregates with one probe and n-fold kernel updates.
     void add_batch(RecordBatch& batch);
 
     /// One record as a one-row batch (attribute ids from registry()).
@@ -154,14 +156,15 @@ private:
 /// RecordMap becomes a row of a reused RecordBatch, every distinct
 /// (interned) attribute name resolves against the processor's registry
 /// once per feeder, and the batch goes to add_batch() every
-/// RecordBatch::default_rows rows. It never holds more than one batch, so
-/// replaying a record many times stays in bounded memory. Call flush()
-/// after the last record.
+/// RecordBatch::default_rows rows. It never holds more than one batch.
+/// Call flush() after the last record.
 class RecordMapFeeder {
 public:
     explicit RecordMapFeeder(QueryProcessor& proc) : proc_(proc) {}
 
-    /// Append \a copies rows holding \a record.
+    /// Append one row holding \a record with weight \a copies: the
+    /// processor's answer equals that of \a copies separate rows, but an
+    /// aggregation folds the row once (none for 0 copies).
     void add(const RecordMap& record, std::uint64_t copies = 1);
 
     /// Hand the pending rows (if any) to the processor.

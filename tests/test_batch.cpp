@@ -225,3 +225,30 @@ TEST(RecordBatch, EmptyRowIsLegal) {
     b.materialize(0, rec);
     EXPECT_EQ(rec.size(), 0u);
 }
+
+TEST(RecordBatch, RowWeightsDefaultToOneAndClearDropsThem) {
+    RecordBatch b;
+    for (int i = 0; i < 4; ++i) {
+        b.begin_row();
+        b.append(1, Variant(std::int64_t(i)));
+        b.end_row();
+    }
+    EXPECT_EQ(b.total_weight(), 4u);
+    b.set_weight(2, 1); // weight 1 is the default: nothing to store
+    b.set_weight(1, 7);
+    EXPECT_EQ(b.weight(0), 1u);
+    EXPECT_EQ(b.weight(1), 7u);
+    EXPECT_EQ(b.weight(3), 1u); // rows past the last weighted row weigh 1
+    EXPECT_EQ(b.total_weight(), 10u);
+    const std::vector<std::uint32_t> sel = {1, 3};
+    EXPECT_EQ(b.total_weight(sel), 8u);
+
+    b.clear();
+    for (int i = 0; i < 2; ++i) {
+        b.begin_row();
+        b.append(1, Variant(std::int64_t(i)));
+        b.end_row();
+    }
+    EXPECT_EQ(b.weight(1), 1u);
+    EXPECT_EQ(b.total_weight(), 2u);
+}

@@ -417,3 +417,50 @@ TEST(AllKernels, MergeIntoFreshStateIsBitwiseIdentity) {
                           state_size(AggOp::Sum)),
               0);
 }
+
+// state_update_n(v, n) must leave exactly the state n state_update(v)
+// calls leave — the weighted batch rows of exact-mode daemon answers rest
+// on it. Start states cover a fresh state, an integer sum near INT64_MAX
+// (so the n-fold sum widens mid-run) and a state already on the double
+// path.
+TEST(AllKernels, UpdateNMatchesRepeatedUpdate) {
+    const AggOp ops[] = {AggOp::Count,    AggOp::Sum,       AggOp::Min,
+                         AggOp::Max,      AggOp::Avg,       AggOp::Variance,
+                         AggOp::Histogram, AggOp::PercentTotal};
+    const double inf = std::numeric_limits<double>::infinity();
+    const Variant values[] = {
+        Variant(5ll),
+        Variant(-3ll),
+        Variant(static_cast<unsigned long long>(INT64_MAX) + 10ull),
+        Variant(true),
+        Variant(false),
+        Variant(2.5),
+        Variant(-0.0),
+        Variant(std::numeric_limits<double>::quiet_NaN()),
+        Variant(inf),
+        Variant(-inf),
+        Variant(std::numeric_limits<double>::denorm_min()),
+        Variant("text"),
+    };
+    const std::vector<std::vector<Variant>> starts = {
+        {},
+        {Variant(INT64_MAX - 2000ll)},
+        {Variant(1ll), Variant(0.75)},
+    };
+    for (AggOp op : ops)
+        for (const std::vector<Variant>& start : starts)
+            for (const Variant& v : values)
+                for (std::uint64_t n : {0ull, 1ull, 2ull, 3ull, 1000ull}) {
+                    State once(op), repeated(op);
+                    for (const Variant& s : start) {
+                        once.update(s);
+                        repeated.update(s);
+                    }
+                    state_update_n(op, once.buf.data(), v, n);
+                    for (std::uint64_t i = 0; i < n; ++i)
+                        repeated.update(v);
+                    EXPECT_EQ(once.serialize(), repeated.serialize())
+                        << agg_op_name(op) << " value " << v.to_repr() << " x"
+                        << n << " after " << start.size() << " start updates";
+                }
+}

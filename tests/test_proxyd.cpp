@@ -552,6 +552,50 @@ TEST(ProxydDaemon, FlushMergesExistingCountColumn) {
     EXPECT_EQ(k2_count, 3u); // count 3 x multiplicity 1
 }
 
+TEST(ProxydDaemon, FlushKeepsCountsThatCannotMerge) {
+    // a count merges into the multiplicity only when the product is an
+    // exact uint64; an overflowing, fractional or negative count is written
+    // out `weight` times instead, so sum(count) over the flush file still
+    // equals sum(count) over the pushed records
+    proxyd::DaemonOptions opts;
+    proxyd::ProxyDaemon daemon(opts);
+    proxyd::ProxyChannel* ch = daemon.channel("odd");
+    ASSERT_NE(ch, nullptr);
+
+    AttributeRegistry& reg = ch->registry();
+    const Attribute kernel =
+        reg.create("kernel", Variant::Type::String, prop::none);
+    const Attribute count = reg.create("count", Variant::Type::UInt, prop::none);
+    std::vector<RecordMap> corpus;
+    const auto push = [&](const char* k, const Variant& c, int times) {
+        IdRecord rec;
+        rec.append(kernel.id(), Variant(std::string_view(k)));
+        rec.append(count.id(), c);
+        for (int i = 0; i < times; ++i) {
+            ch->fold(rec);
+            corpus.push_back(to_recordmap(rec, reg));
+        }
+    };
+    push("huge", Variant(1ull << 63), 2);
+    push("half", Variant(2.5), 3);
+    push("neg", Variant(-3LL), 2);
+
+    test::TempDir dir("proxyd-odd");
+    daemon.write_flush_files(dir.file("%c.cali"));
+    std::vector<RecordMap> flushed;
+    CaliReader::read_file(dir.file("odd.cali"),
+                          [&](RecordMap&& r) { flushed.push_back(std::move(r)); });
+    EXPECT_EQ(flushed.size(), 7u); // nothing merged
+
+    const std::string q =
+        "AGGREGATE sum(count) GROUP BY kernel ORDER BY kernel FORMAT csv";
+    const std::string want = offline_answer(corpus, q);
+    EXPECT_EQ(offline_answer(flushed, q), want);
+    EXPECT_NE(want.find("1.84467440737e+19"), std::string::npos) << want;
+    EXPECT_NE(want.find("7.5"), std::string::npos) << want;
+    EXPECT_NE(want.find("-6"), std::string::npos) << want;
+}
+
 TEST(ProxydDaemon, HttpScrapeServesMetricsAndHealth) {
     const std::string sock = test_socket_path("http");
     proxyd::DaemonOptions opts;
@@ -801,8 +845,8 @@ TEST(ProxydDaemon, TcpIngestWorksLikeUnix) {
 namespace {
 
 /// make_corpus rows mixed into 5000 pushes of one record — more than a
-/// replay batch holds, so exact-mode answers cross batch boundaries
-/// inside a single stored row.
+/// batch holds, so exact-mode answers used to replay one stored row
+/// across batch boundaries; now it is one row of weight 5000.
 std::vector<RecordMap> hot_record_input() {
     const std::vector<RecordMap> others = make_corpus(250, 9);
     const RecordMap hot = test::record({{"kernel", Variant(std::string_view("halo"))},
@@ -817,6 +861,37 @@ std::vector<RecordMap> hot_record_input() {
     }
     return out;
 }
+
+/// The answer the stored rows give when each is replayed copy by copy
+/// (the reference for weighted rows, in the channel's own row order, so
+/// floating-point folds see the same sequence).
+std::string expanded_answer(const proxyd::ProxyChannel& ch, const std::string& q) {
+    QueryProcessor proc(parse_calql(q));
+    RecordMapFeeder feed(proc);
+    for (const proxyd::ProxyChannel::Row& row : ch.rows())
+        for (std::uint64_t i = 0; i < row.weight; ++i)
+            feed.add(row.record);
+    feed.flush();
+    std::ostringstream os;
+    proc.write(os);
+    return os.str();
+}
+
+/// Every op (integer and double inputs), a window and a LIMIT: each must
+/// answer from weighted rows exactly as from the expanded rows.
+const char* const kWeightedQueries[] = {
+    "LET d=scale(val,0.37) AGGREGATE count,sum(val),sum(d),min(val),max(d),"
+    "avg(d),variance(d),histogram(val),percent_total(d) GROUP BY kernel "
+    "ORDER BY kernel FORMAT csv",
+    "AGGREGATE avg(val),variance(val),percent_total(val),min(iter),max(val) "
+    "GROUP BY rank ORDER BY rank FORMAT csv",
+    "AGGREGATE count,sum(val) WINDOW 40 BY iter SLIDE 10 GROUP BY kernel "
+    "ORDER BY kernel FORMAT csv",
+    "AGGREGATE count,sum(val) GROUP BY kernel,rank ORDER BY count DESC "
+    "LIMIT 5 FORMAT csv",
+    "SELECT kernel,rank,val WHERE rank=3 ORDER BY val DESC LIMIT 12 "
+    "FORMAT csv",
+};
 
 } // namespace
 
@@ -835,10 +910,15 @@ TEST(ProxydSession, ReplayAcrossBatchBoundariesMatchesOffline) {
     std::uint64_t hot_weight = 0;
     for (const proxyd::ProxyChannel::Row& row : h.channel.rows())
         hot_weight = std::max(hot_weight, row.weight);
-    ASSERT_GE(hot_weight, 5000u) << "one stored row must replay past a batch";
+    ASSERT_GE(hot_weight, 5000u) << "one stored row must outweigh a batch";
     for (const char* q : queries) {
         bool ok = false;
         EXPECT_EQ(h.channel.answer(q, &ok), offline_answer(input, q)) << q;
+        EXPECT_TRUE(ok) << q;
+    }
+    for (const char* q : kWeightedQueries) {
+        bool ok = false;
+        EXPECT_EQ(h.channel.answer(q, &ok), expanded_answer(h.channel, q)) << q;
         EXPECT_TRUE(ok) << q;
     }
 
@@ -866,6 +946,11 @@ TEST(ProxydSession, ReplayAcrossBatchBoundariesMatchesOffline) {
         EXPECT_EQ(ch.answer(q, &ok), offline_answer(live, q)) << q;
         EXPECT_TRUE(ok) << q;
     }
+    for (const char* q : kWeightedQueries) {
+        bool ok = false;
+        EXPECT_EQ(ch.answer(q, &ok), expanded_answer(ch, q)) << q;
+        EXPECT_TRUE(ok) << q;
+    }
 
     // reduced mode: rows are aggregates of weight 1, re-aggregated
     SessionHarness reduced("AGGREGATE count,sum(val) GROUP BY kernel");
@@ -881,6 +966,63 @@ TEST(ProxydSession, ReplayAcrossBatchBoundariesMatchesOffline) {
                                     "sum#sum#val GROUP BY kernel ORDER BY kernel "
                                     "FORMAT csv"));
     EXPECT_TRUE(ok);
+}
+
+TEST(ProxydSession, WeightedOverflowRowsFoldOnce) {
+    // records with different attribute sets: "extra" is defined before
+    // "val" but missing from the first stored row, so in the answer's
+    // batch every row carrying it lists its fields out of column order and
+    // becomes an overflow row, which folds through the record path
+    proxyd::ProxyChannel ch("mixed", "");
+    AttributeRegistry& reg = ch.registry();
+    const id_t kernel = reg.create("kernel", Variant::Type::String).id();
+    const id_t rank   = reg.create("rank", Variant::Type::Int).id();
+    const id_t extra  = reg.create("extra", Variant::Type::Double).id();
+    const id_t val    = reg.create("val", Variant::Type::Int).id();
+    const char* kernels[] = {"advec", "halo", "io"};
+    std::uint64_t pushed = 0;
+    for (int k = 0; k < 3; ++k)
+        for (int r = 0; r < 4; ++r) {
+            IdRecord plain, wide;
+            plain.append(kernel, Variant(std::string_view(kernels[k])));
+            plain.append(rank, Variant(static_cast<long long>(r)));
+            plain.append(val, Variant(static_cast<long long>(10 * r + k)));
+            wide = plain;
+            wide.append(extra, Variant(0.1 * r + k));
+            for (int i = 0; i < 300 * (r + 1); ++i, ++pushed)
+                ch.fold(plain);
+            for (int i = 0; i < 7 * (k + 1); ++i, ++pushed)
+                ch.fold(wide);
+        }
+    const std::vector<proxyd::ProxyChannel::Row> rows = ch.rows();
+    ASSERT_EQ(rows.size(), 24u);
+    ASSERT_FALSE(rows.front().record.contains("extra"));
+
+    const char* queries[] = {
+        "AGGREGATE count,sum(val),sum(extra),avg(extra),variance(extra),"
+        "min(extra),max(val),histogram(val),percent_total(extra) "
+        "GROUP BY kernel ORDER BY kernel FORMAT csv",
+        "AGGREGATE count GROUP BY * ORDER BY kernel,rank,extra FORMAT csv",
+        "SELECT kernel,rank,extra WHERE extra>1 ORDER BY extra FORMAT csv",
+    };
+    for (const char* q : queries) {
+        bool ok = false;
+        EXPECT_EQ(ch.answer(q, &ok), expanded_answer(ch, q)) << q;
+        EXPECT_TRUE(ok) << q;
+    }
+
+    // an aggregation answer probes each stored row once, not once per copy
+    obs::set_enabled(true);
+    const std::int64_t before = obs::MetricsRegistry::instance().value("aggdb.lookups");
+    bool ok = false;
+    const std::string counted =
+        ch.answer("AGGREGATE count GROUP BY kernel FORMAT csv", &ok);
+    const std::int64_t lookups =
+        obs::MetricsRegistry::instance().value("aggdb.lookups") - before;
+    obs::set_enabled(false);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(lookups, static_cast<std::int64_t>(rows.size()));
+    EXPECT_LT(static_cast<std::uint64_t>(lookups), pushed);
 }
 
 // --------------------------------------------------------- windowed channels

@@ -184,8 +184,8 @@ TEST(RecordPipeline, DbBatchMatchesRecordAtATime) {
 }
 
 TEST(RecordPipeline, FeederReplayAcrossBatchBoundaries) {
-    // one record replayed more times than a batch holds, between others:
-    // the feeder's bounded batches must equal the expanded input
+    // one record added with a weight above a batch's row count, between
+    // others: the weighted row must answer like the expanded input
     const auto rs = sample_records();
     const std::string query =
         "LET ms=scale(time,1000.0) AGGREGATE count,sum(ms) WHERE rank>0 "
@@ -203,6 +203,68 @@ TEST(RecordPipeline, FeederReplayAcrossBatchBoundaries) {
     proc.write(os);
     EXPECT_EQ(proc.num_records_in(), expanded.size());
     EXPECT_EQ(os.str(), run_reader_path(query, expanded));
+}
+
+namespace {
+
+/// Feed \a records with multiplicities \a copies — as weighted rows, or
+/// expanded one copy at a time — and render the answer plus its counts.
+std::string weighted_answer(const std::string& query,
+                            const std::vector<RecordMap>& records,
+                            const std::vector<std::uint64_t>& copies,
+                            bool weighted, std::size_t budget) {
+    QueryProcessor proc(parse_calql(query));
+    proc.set_aggregation_memory_budget(budget);
+    RecordMapFeeder feed(proc);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        if (weighted)
+            feed.add(records[i], copies[i]);
+        else
+            for (std::uint64_t c = 0; c < copies[i]; ++c)
+                feed.add(records[i]);
+    }
+    feed.flush();
+    std::ostringstream os;
+    os << proc.num_records_in() << " in, " << proc.num_records_kept() << " kept\n";
+    proc.write(os);
+    return os.str();
+}
+
+} // namespace
+
+TEST(RecordPipeline, WeightedRowsSpillWhereTheirCopiesDid) {
+    // a 1-byte budget caps the group table at 16 entries. The weighted row
+    // whose insert fills it must fold one copy, spill, and fold the other
+    // copies into the fresh table, as its copies one by one would. The sum
+    // makes the split visible: 0.5 + ((0.5 + 0.5 + 1e16) - 1e16) is 0.5,
+    // while (0.5 + 0.5 + 0.5) + (1e16 - 1e16) is 1.5. Reversed field order
+    // turns the rows of "k15" into overflow rows, which fold on the record
+    // path.
+    for (const bool reversed : {false, true}) {
+        std::vector<RecordMap> records;
+        std::vector<std::uint64_t> copies;
+        const auto add = [&](const std::string& k, double v, std::uint64_t n) {
+            records.push_back(reversed && k == "k15"
+                                  ? record({{"v", Variant(v)}, {"k", Variant(k)}})
+                                  : record({{"k", Variant(k)}, {"v", Variant(v)}}));
+            copies.push_back(n);
+        };
+        for (int i = 0; i < 15; ++i)
+            add("k" + std::to_string(i), 1.0 + i, 1 + i % 3);
+        add("k15", 0.5, 3); // the 16th group: spills after its first copy
+        add("k15", 1e16, 1);
+        add("k3", 0.25, 2);
+        add("k15", -1e16, 1);
+        const std::string query =
+            "AGGREGATE count,sum(v),avg(v) GROUP BY k ORDER BY k FORMAT csv";
+        const std::string spilled = weighted_answer(query, records, copies, true, 1);
+        EXPECT_EQ(spilled, weighted_answer(query, records, copies, false, 1))
+            << (reversed ? "overflow rows" : "column rows");
+        EXPECT_NE(spilled, weighted_answer(query, records, copies, true, 0))
+            << "the input must regroup the sum when it spills";
+        EXPECT_EQ(weighted_answer(query, records, copies, true, 0),
+                  weighted_answer(query, records, copies, false, 0));
+    }
 }
 
 // --- resolve-once accounting -------------------------------------------------
