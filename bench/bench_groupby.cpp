@@ -4,8 +4,11 @@
 // heavy-hitter) and nominal cardinality the bench runs the full engine at a
 // fixed thread count and records the phase-2 merge wall time
 // (EngineStats::merge_ns) per strategy, plus its speedup over the pairwise
-// baseline. Output bytes are asserted identical across strategies — the
-// byte-identity contract is what makes the strategy a pure performance knob.
+// baseline, and the time of QueryProcessor::result() alone in the same rep
+// (the query has no ORDER BY or LIMIT, so that is the full canonical sort
+// of every group). Output bytes are asserted identical across strategies —
+// the byte-identity contract is what makes the strategy a pure performance
+// knob.
 //
 // The interesting read is the crossover: pairwise wins at low cardinality
 // (partition setup cost dominates), radix wins once the monolithic group
@@ -112,8 +115,9 @@ std::vector<std::string> generate(const std::string& dir, const std::string& dis
 }
 
 struct Measured {
-    double merge_ms = 0;
-    double wall_s   = 0;
+    double merge_ms  = 0;
+    double result_ms = 0;
+    double wall_s    = 0;
     std::size_t groups = 0;
     engine::MergeStrategy executed = engine::MergeStrategy::Default;
     std::string output;
@@ -132,13 +136,16 @@ Measured run_strategy(const QuerySpec& spec, const std::vector<std::string>& fil
         engine::ParallelQueryProcessor eng(spec, opts);
         const std::uint64_t t0 = now_ns();
         QueryProcessor& proc   = eng.run(files);
+        const std::uint64_t t1 = now_ns();
         const std::size_t rows = proc.result().size();
-        const double wall_s    = static_cast<double>(now_ns() - t0) * 1e-9;
+        const std::uint64_t t2 = now_ns();
+        const double wall_s    = static_cast<double>(t2 - t0) * 1e-9;
         const double merge_ms =
             static_cast<double>(eng.stats().merge_ns) * 1e-6;
         if (rep == 0 || merge_ms < best.merge_ms) {
-            best.merge_ms = merge_ms;
-            best.wall_s   = wall_s;
+            best.merge_ms  = merge_ms;
+            best.result_ms = static_cast<double>(t2 - t1) * 1e-6;
+            best.wall_s    = wall_s;
         }
         if (rep == 0) {
             best.groups   = rows;
@@ -188,8 +195,9 @@ int main() {
     std::printf("# groupby merge-strategy sweep: %d files x %d records, "
                 "%zu threads, %d reps\n",
                 nfiles, per_file, threads, reps);
-    std::printf("%8s %8s %8s %10s %10s %10s %10s %6s\n", "dist", "keys",
-                "groups", "strategy", "merge_ms", "wall_s", "speedup", "ident");
+    std::printf("%8s %8s %8s %10s %10s %10s %10s %10s %6s\n", "dist", "keys",
+                "groups", "strategy", "merge_ms", "result_ms", "wall_s", "speedup",
+                "ident");
 
     std::ostringstream json;
     json << "{\n  \"bench\": \"groupby\",\n  " << meta_json() << ",\n"
@@ -225,13 +233,15 @@ int main() {
                 if (s == engine::MergeStrategy::Adaptive)
                     label += std::string(":") +
                              merge_strategy_name(m.executed); // what it picked
-                std::printf("%8s %8zu %8zu %10s %10.3f %10.3f %10.2f %6s\n",
+                std::printf("%8s %8zu %8zu %10s %10.3f %10.3f %10.3f %10.2f %6s\n",
                             dist, nkeys, m.groups, label.c_str(), m.merge_ms,
-                            m.wall_s, speedup, identical ? "yes" : "NO");
+                            m.result_ms, m.wall_s, speedup,
+                            identical ? "yes" : "NO");
                 json << (first ? "" : ",") << "\n    {\"name\": \"" << dist
                      << "-k" << nkeys << "-" << merge_strategy_name(s)
                      << "\", \"groups\": " << m.groups
                      << ", \"merge_ms\": " << m.merge_ms
+                     << ", \"result_ms\": " << m.result_ms
                      << ", \"wall_s\": " << m.wall_s
                      << ", \"speedup_vs_pairwise\": " << speedup
                      << ", \"identical_output\": "

@@ -17,6 +17,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 namespace calib::fuzz {
@@ -334,6 +335,42 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
                        engine::MergeStrategy::Radix));
     compare_family(radix_spill_runs);
 
+    // result order: rows come out already in the reference order, and a
+    // LIMIT k answer is the first k rows of the same query without LIMIT
+    // (run with the base run's engine plan, so the values are bitwise equal)
+    const auto check_order = [&](const std::vector<RecordMap>& rows,
+                                 const std::string& what) {
+        const std::vector<RecordMap> want = reference_order(spec, rows);
+        const std::size_t at = first_row_difference(want, rows);
+        if (at != rows.size())
+            failures.push_back(what + " rows are out of reference order at row " +
+                               std::to_string(at));
+    };
+    QuerySpec no_limit = spec;
+    no_limit.limit     = 0;
+    std::optional<EngineRun> unlimited;
+    if (!base.threw) {
+        check_order(base.rows, base.label);
+        if (!spill_runs.front().threw)
+            check_order(spill_runs.front().rows, spill_runs.front().label);
+        if (spec.limit > 0) {
+            unlimited = run_engine(no_limit, input.path(), 1, true, morsel_bytes,
+                                   flush_limit, /*batch_size=*/1024,
+                                   /*memory_budget=*/0);
+            if (unlimited->threw) {
+                failures.push_back("query without LIMIT rejected: " + unlimited->error);
+            } else {
+                check_order(unlimited->rows, unlimited->label + " without LIMIT");
+                const std::size_t want =
+                    std::min(spec.limit, unlimited->rows.size());
+                if (base.rows.size() != want ||
+                    first_row_difference(base.rows, unlimited->rows) != want)
+                    failures.push_back("LIMIT " + std::to_string(spec.limit) +
+                                       " rows are not the first rows without LIMIT");
+            }
+        }
+    }
+
     if (!corpus.well_formed)
         return failures; // mutated input: cross-engine agreement was the check
     if (base.threw) {
@@ -385,6 +422,11 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     const std::vector<RecordMap> serial_rows = run_query(query, corpus.records);
     for (const std::string& m : oracle_compare(spec, oracle, serial_rows))
         failures.push_back("serial processor vs oracle: " + m);
+    check_order(serial_rows, "serial processor");
+    if (unlimited && !unlimited->threw) {
+        for (const std::string& m : oracle_compare(no_limit, oracle, unlimited->rows))
+            failures.push_back("engine without LIMIT vs oracle: " + m);
+    }
     // the spilled result is checked against the oracle with numeric
     // tolerance (it need not be byte-identical to the unspilled run)
     if (!spill_runs.front().threw)

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 namespace calib::fuzz {
@@ -676,6 +677,80 @@ std::vector<std::string> oracle_compare(const QuerySpec& spec,
         }
     }
     return mismatches;
+}
+
+std::vector<RecordMap> reference_order(const QuerySpec& spec,
+                                       std::vector<RecordMap> rows) {
+    if (spec.has_aggregation()) {
+        using FieldPtr = const RecordMap::value_type*;
+        std::vector<std::pair<std::vector<FieldPtr>, std::size_t>> keyed;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            std::vector<FieldPtr> fields;
+            for (const auto& field : rows[i])
+                fields.push_back(&field);
+            std::stable_sort(fields.begin(), fields.end(), [](FieldPtr a, FieldPtr b) {
+                return std::strcmp(a->first, b->first) < 0;
+            });
+            keyed.emplace_back(std::move(fields), i);
+        }
+        std::stable_sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+            for (std::size_t i = 0; i < a.first.size() && i < b.first.size(); ++i) {
+                const int name = std::strcmp(a.first[i]->first, b.first[i]->first);
+                if (name != 0)
+                    return name < 0;
+                const Variant& va = a.first[i]->second;
+                const Variant& vb = b.first[i]->second;
+                if (const int c = va.compare(vb); c != 0)
+                    return c < 0;
+                if (const int c = va.identity_compare(vb); c != 0)
+                    return c < 0;
+            }
+            return a.first.size() < b.first.size();
+        });
+        std::vector<RecordMap> sorted;
+        for (const auto& [fields, index] : keyed)
+            sorted.push_back(std::move(rows[index]));
+        rows = std::move(sorted);
+    }
+
+    const auto term_value = [&spec](const RecordMap& row, const std::string& name) {
+        if (const Variant* v = row.find(name))
+            return *v;
+        for (const std::string& column : spec.select) {
+            const auto alias = spec.aliases.find(column);
+            if (alias != spec.aliases.end() && alias->second == name)
+                if (const Variant* v = row.find(column))
+                    return *v;
+        }
+        return Variant();
+    };
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](const RecordMap& a, const RecordMap& b) {
+                         for (const SortSpec& s : spec.sort) {
+                             const int c = term_value(a, s.attribute)
+                                               .compare(term_value(b, s.attribute));
+                             if (c != 0)
+                                 return s.descending ? c > 0 : c < 0;
+                         }
+                         return false;
+                     });
+    return rows;
+}
+
+std::size_t first_row_difference(const std::vector<RecordMap>& a,
+                                 const std::vector<RecordMap>& b) {
+    const auto same = [](const RecordMap& x, const RecordMap& y) {
+        if (x.size() != y.size())
+            return false;
+        for (std::size_t i = 0; i < x.size(); ++i)
+            if (std::strcmp(x[i].first, y[i].first) != 0 || !(x[i].second == y[i].second))
+                return false;
+        return true;
+    };
+    std::size_t i = 0;
+    while (i < a.size() && i < b.size() && same(a[i], b[i]))
+        ++i;
+    return i;
 }
 
 } // namespace calib::fuzz

@@ -55,4 +55,20 @@ std::vector<std::string> oracle_compare(const QuerySpec& spec,
                                         const OracleResult& oracle,
                                         const std::vector<RecordMap>& engine_rows);
 
+/// The order a query's result rows must come in, restated over whole
+/// RecordMaps: aggregated rows sorted canonically (their fields sorted by
+/// name, then compared as (name, value) sequences, compare() ties broken
+/// by identity_compare(), a shorter prefix first), then every query's
+/// rows stable-sorted by the ORDER BY terms. A term reads the column of
+/// its name, or else the first SELECT column aliased to it. Passthrough
+/// rows keep their given order among ties.
+std::vector<RecordMap> reference_order(const QuerySpec& spec,
+                                       std::vector<RecordMap> rows);
+
+/// Index of the first row where \a a and \a b differ (rows match with the
+/// same names in the same field order and identical values), or the
+/// shorter size when one is a prefix of the other.
+std::size_t first_row_difference(const std::vector<RecordMap>& a,
+                                 const std::vector<RecordMap>& b);
+
 } // namespace calib::fuzz

@@ -89,6 +89,10 @@ std::string generate_query(std::uint64_t seed, const Corpus& corpus) {
                      args + ")";
     }
 
+    // result columns an ORDER BY may name besides corpus attributes: op
+    // result labels and aliases, and the GROUP BY list (for SELECT aliases)
+    std::vector<std::string> results;
+    std::vector<std::string> keys;
     const bool aggregate = rng.chance(80);
     if (aggregate) {
         static const char* ops[] = {"count", "sum",      "min",       "max",
@@ -99,6 +103,7 @@ std::string generate_query(std::uint64_t seed, const Corpus& corpus) {
             if (i)
                 s += ',';
             const char* op = ops[rng.below(8)];
+            std::string label = op;
             if (op == std::string("count")) {
                 s += "count";
             } else {
@@ -115,9 +120,13 @@ std::string generate_query(std::uint64_t seed, const Corpus& corpus) {
                 else
                     target = pick_attr(rng, corpus, !any_type);
                 s += std::string(op) + "(" + quoted(target) + ")";
+                label += "#" + target;
             }
-            if (rng.chance(20))
-                s += " AS alias" + std::to_string(i);
+            if (rng.chance(20)) {
+                label = "alias" + std::to_string(i);
+                s += " AS " + label;
+            }
+            results.push_back(label);
         }
         clause(s);
 
@@ -128,7 +137,8 @@ std::string generate_query(std::uint64_t seed, const Corpus& corpus) {
             for (std::size_t i = 0; i < n_keys; ++i) {
                 if (i)
                     g += ',';
-                g += quoted(pick_attr(rng, corpus, false));
+                keys.push_back(pick_attr(rng, corpus, false));
+                g += quoted(keys.back());
             }
             clause(g);
         } else if (grouping < 7) {
@@ -162,11 +172,46 @@ std::string generate_query(std::uint64_t seed, const Corpus& corpus) {
         clause(w);
     }
 
+    // ORDER BY: the main stream draws exactly as it always has, so every
+    // other clause of a seed's query stays the same. A stream of its own
+    // may then order by op results and aliases instead (the top-N shape),
+    // with one or two terms, or give a GROUP BY key a SELECT alias to
+    // order by.
+    std::vector<std::string> terms;
     if (rng.chance(40)) {
-        std::string o = "ORDER BY ";
-        o += quoted(pick_attr(rng, corpus, false));
+        terms.push_back(quoted(pick_attr(rng, corpus, false)));
         if (rng.chance(40))
-            o += " DESC";
+            terms.back() += " DESC";
+    }
+    Rng order_rng(seed ^ 0x5eed04de7b1e5ULL);
+    std::vector<std::string> pool = results;
+    if (!keys.empty() && order_rng.chance(20)) {
+        // every row column stays selected once, the first key under an
+        // alias (a repeated op folds into its first occurrence)
+        std::vector<std::string> columns;
+        for (const std::vector<std::string>* names : {&keys, &results})
+            for (const std::string& name : *names)
+                if (std::find(columns.begin(), columns.end(), name) == columns.end())
+                    columns.push_back(name);
+        std::string select = "SELECT " + quoted(columns.front()) + " AS key.alias";
+        for (std::size_t i = 1; i < columns.size(); ++i)
+            select += "," + quoted(columns[i]);
+        clause(select);
+        pool.push_back("key.alias");
+    }
+    if (!pool.empty() && order_rng.chance(terms.empty() ? 30 : 50)) {
+        std::vector<std::string> fresh;
+        for (std::size_t n = 1 + order_rng.below(2); fresh.size() < n;)
+            fresh.push_back(quoted(order_rng.pick(pool)) +
+                            (order_rng.chance(50) ? " DESC" : ""));
+        if (!terms.empty() && order_rng.chance(30))
+            fresh.push_back(terms.front()); // a corpus attribute breaks ties
+        terms = std::move(fresh);
+    }
+    if (!terms.empty()) {
+        std::string o = "ORDER BY " + terms.front();
+        for (std::size_t i = 1; i < terms.size(); ++i)
+            o += "," + terms[i];
         clause(o);
     }
 

@@ -797,98 +797,89 @@ std::size_t AggregationDB::bytes() const noexcept {
            table_.capacity() * sizeof(std::uint32_t);
 }
 
-void AggregationDB::flush(const std::function<void(RecordMap&&)>& sink) const {
-    obs::Timer::Scope flush_scope(aggdb_flush);
-
-    if (spill_) {
-        // merged emission in spill-key order; two passes because
-        // percent_total denominators need every group first
-        std::vector<double> denominators(config_.ops.size(), 0.0);
-        bool need_denominators = false;
-        for (const AggOpConfig& op : config_.ops)
-            if (op.op == AggOp::PercentTotal)
-                need_denominators = true;
-        if (need_denominators) {
-            for_each_merged_group(
-                [&](const Entry*, std::size_t, const std::uint64_t* state) {
-                    for (std::size_t i = 0; i < config_.ops.size(); ++i)
-                        if (config_.ops[i].op == AggOp::PercentTotal)
-                            denominators[i] += kernel::state_sum_value(
-                                config_.ops[i].op, state + op_state_offsets_[i]);
-                });
-        }
-        for_each_merged_group([&](const Entry* key, std::size_t key_len,
-                                  const std::uint64_t* state) {
-            RecordMap out;
-            out.reserve(key_len + config_.ops.size());
-            for (std::size_t k = 0; k < key_len; ++k) {
-                const Entry& ke = key[k];
-                if (ke.value.empty() || ke.attribute == invalid_id)
-                    continue;
-                out.append(registry_->get(ke.attribute).name(), ke.value);
-            }
-            for (std::size_t i = 0; i < config_.ops.size(); ++i)
-                kernel::state_result(config_.ops[i].op, state + op_state_offsets_[i],
-                                     config_.ops[i], out, denominators[i]);
-            sink(std::move(out));
-        });
-        return;
-    }
-
-    // percent_total denominators, one per configured op. Accumulated in
-    // canonical (key-sorted) order, not insertion order: the double sum is
-    // then a function of the group-state set alone, so every merge
-    // strategy — which may assemble the table in a different entry order —
-    // yields identical denominators. Matches the spilled path, which
-    // iterates in spill-key order.
+std::vector<double> AggregationDB::percent_denominators() const {
+    // one denominator per configured op, accumulated in canonical
+    // (key-sorted) order, not insertion order: the double sum is then a
+    // function of the group-state set alone, so every merge strategy —
+    // which may assemble the table in a different entry order — yields
+    // identical denominators. A spilled database merges its groups in the
+    // same spill-key order.
     std::vector<double> denominators(config_.ops.size(), 0.0);
-    bool need_denominators = false;
-    for (const AggOpConfig& op : config_.ops)
-        if (op.op == AggOp::PercentTotal)
-            need_denominators = true;
-    if (need_denominators) {
-        std::vector<std::uint32_t> order(entries_.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::sort(order.begin(), order.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      const EntryRec& ra = entries_[a];
-                      const EntryRec& rb = entries_[b];
-                      return compare_keys(key_arena_.data() + ra.key_offset,
-                                          ra.key_len,
-                                          key_arena_.data() + rb.key_offset,
-                                          rb.key_len) < 0;
-                  });
-        for (std::size_t i = 0; i < config_.ops.size(); ++i) {
-            if (config_.ops[i].op != AggOp::PercentTotal)
-                continue;
-            for (const std::uint32_t e : order)
-                denominators[i] +=
-                    kernel::state_sum_value(config_.ops[i].op, entry_state(e, i));
-        }
+    if (std::none_of(config_.ops.begin(), config_.ops.end(),
+                     [](const AggOpConfig& op) { return op.op == AggOp::PercentTotal; }))
+        return denominators;
+    const auto add = [&](const std::uint64_t* state) {
+        for (std::size_t i = 0; i < config_.ops.size(); ++i)
+            if (config_.ops[i].op == AggOp::PercentTotal)
+                denominators[i] += kernel::state_sum_value(
+                    config_.ops[i].op, state + op_state_offsets_[i]);
+    };
+    if (spill_) {
+        for_each_merged_group(
+            [&](const Entry*, std::size_t, const std::uint64_t* state) { add(state); });
+        return denominators;
     }
+    std::vector<std::uint32_t> order(entries_.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
+        const EntryRec& ra = entries_[a];
+        const EntryRec& rb = entries_[b];
+        return compare_keys(key_arena_.data() + ra.key_offset, ra.key_len,
+                            key_arena_.data() + rb.key_offset, rb.key_len) < 0;
+    });
+    for (const std::uint32_t e : order)
+        add(state_arena_.data() + entries_[e].state_offset);
+    return denominators;
+}
 
-    for (std::size_t e = 0; e < entries_.size(); ++e) {
-        RecordMap out;
-        const EntryRec& rec = entries_[e];
-        out.reserve(rec.key_len + config_.ops.size());
-        for (std::uint32_t k = 0; k < rec.key_len; ++k) {
-            const Entry& ke = key_arena_[rec.key_offset + k];
+RowArena AggregationDB::flush_rows() const {
+    obs::Timer::Scope flush_scope(aggdb_flush);
+    const std::vector<double> denominators = percent_denominators();
+    std::vector<const char*> labels;
+    labels.reserve(config_.ops.size());
+    for (const AggOpConfig& op : config_.ops)
+        labels.push_back(intern(op.result_label()));
+    std::vector<const char*> names; // key attribute name by id, looked up once
+
+    RowArena out;
+    out.reserve(entries_.size(),
+                key_arena_.size() + entries_.size() * config_.ops.size());
+    const auto emit = [&](const Entry* key, std::size_t key_len,
+                          const std::uint64_t* state) {
+        for (std::size_t k = 0; k < key_len; ++k) {
+            const Entry& ke = key[k];
             if (ke.value.empty() || ke.attribute == invalid_id)
                 continue;
-            out.append(registry_->get(ke.attribute).name(), ke.value);
+            if (ke.attribute >= names.size())
+                names.resize(ke.attribute + 1, nullptr);
+            const char*& name = names[ke.attribute];
+            if (!name)
+                name = registry_->get(ke.attribute).name();
+            out.append(name, ke.value);
         }
         for (std::size_t i = 0; i < config_.ops.size(); ++i)
-            kernel::state_result(config_.ops[i].op, entry_state(e, i), config_.ops[i],
-                                 out, denominators[i]);
-        sink(std::move(out));
+            kernel::state_result(config_.ops[i].op, state + op_state_offsets_[i],
+                                 labels[i], out, denominators[i]);
+        out.end_row();
+    };
+    if (spill_) {
+        for_each_merged_group(emit);
+    } else {
+        for (const EntryRec& rec : entries_)
+            emit(key_arena_.data() + rec.key_offset, rec.key_len,
+                 state_arena_.data() + rec.state_offset);
     }
+    return out;
+}
+
+void AggregationDB::flush(const std::function<void(RecordMap&&)>& sink) const {
+    const RowArena rows = flush_rows();
+    for (std::size_t r = 0; r < rows.rows(); ++r)
+        sink(rows.record(r));
 }
 
 std::vector<RecordMap> AggregationDB::flush() const {
-    std::vector<RecordMap> out;
-    out.reserve(entries_.size());
-    flush([&out](RecordMap&& r) { out.push_back(std::move(r)); });
-    return out;
+    return flush_rows().records();
 }
 
 void AggregationDB::merge(const AggregationDB& other) {

@@ -113,9 +113,13 @@ public:
     /// Approximate memory footprint of keys + states + table, in bytes.
     std::size_t bytes() const noexcept;
 
-    /// Emit one output record per aggregation entry: the (non-empty) key
-    /// attributes followed by the operator results. Entries are emitted in
-    /// insertion order.
+    /// Emit one row per aggregation entry: the (non-empty) key attributes
+    /// followed by the operator results, each op's result label interned
+    /// once per call. Live entries come out in insertion order, the groups
+    /// of a spilled database in spill-key order.
+    RowArena flush_rows() const;
+
+    /// The flush_rows() rows as RecordMaps, one by one or collected.
     void flush(const std::function<void(RecordMap&&)>& sink) const;
     std::vector<RecordMap> flush() const;
 
@@ -215,6 +219,8 @@ private:
     std::uint64_t* entry_state(std::size_t entry_index, std::size_t op_index);
     const std::uint64_t* entry_state(std::size_t entry_index, std::size_t op_index) const;
 
+    /// percent_total denominators, one per op (0 for other ops).
+    std::vector<double> percent_denominators() const;
     void maybe_spill();
     void spill_current_run();
     /// Visit every group merged across all spill runs and the live table,

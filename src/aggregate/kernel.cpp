@@ -351,9 +351,8 @@ void state_merge(AggOp op, void* state, const void* other) noexcept {
     }
 }
 
-void state_result(AggOp op, const void* state, const AggOpConfig& cfg,
-                  RecordMap& out, double percent_denominator) {
-    const std::string label = cfg.result_label();
+void state_result(AggOp op, const void* state, const char* label, RowArena& out,
+                  double percent_denominator) {
     switch (op) {
     case AggOp::Count:
         out.append(label, Variant(static_cast<unsigned long long>(

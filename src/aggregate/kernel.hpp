@@ -84,11 +84,12 @@ void state_update_n(AggOp op, void* state, const Variant& value,
                     std::uint64_t n) noexcept;
 void state_merge(AggOp op, void* state, const void* other) noexcept;
 
-/// Append the operator result(s) to \a out under cfg.result_label().
-/// \a percent_denominator is the overall total used by percent_total
-/// (ignored by other operators).
-void state_result(AggOp op, const void* state, const AggOpConfig& cfg,
-                  RecordMap& out, double percent_denominator);
+/// Append the operator result, if the state has one, to the row \a out
+/// is building, under \a label: the op's interned result label, which
+/// the caller interns once per flush. \a percent_denominator is the
+/// overall total used by percent_total (ignored by other operators).
+void state_result(AggOp op, const void* state, const char* label, RowArena& out,
+                  double percent_denominator);
 
 /// Raw sum value of a state, used to compute percent_total denominators.
 double state_sum_value(AggOp op, const void* state) noexcept;

@@ -195,7 +195,7 @@ void WindowedAggregator::clear() {
     dropped_late_ = dropped_no_time_ = 0;
 }
 
-std::vector<RecordMap> WindowedAggregator::flush() const {
+RowArena WindowedAggregator::flush_rows() const {
     AggregationDB scratch(config_, registry_);
     if (memory_budget_ > 0)
         scratch.set_memory_budget(memory_budget_);
@@ -212,7 +212,7 @@ std::vector<RecordMap> WindowedAggregator::flush() const {
                 scratch.merge(db);
         }
     }
-    return scratch.flush();
+    return scratch.flush_rows();
 }
 
 } // namespace calib

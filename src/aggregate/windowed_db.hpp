@@ -84,9 +84,10 @@ public:
     /// keep dropping after an early flush.
     void clear();
 
-    /// Fold the live panes (ascending pane index) into one result set.
-    /// Non-destructive; the fold shape is fixed, so it is deterministic.
-    std::vector<RecordMap> flush() const;
+    /// Fold the live panes (ascending pane index) into one result set,
+    /// emitted by AggregationDB::flush_rows(). Non-destructive; the fold
+    /// shape is fixed, so it is deterministic.
+    RowArena flush_rows() const;
 
     const WindowSpec& window() const noexcept { return window_; }
     const AggregationConfig& config() const noexcept { return config_; }

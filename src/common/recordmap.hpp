@@ -6,6 +6,8 @@
 
 #include "variant.hpp"
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -64,6 +66,7 @@ public:
     void clear() noexcept { entries_.clear(); }
     void reserve(std::size_t n) { entries_.reserve(n); }
 
+    std::span<const value_type> fields() const noexcept { return entries_; }
     auto begin() const noexcept { return entries_.begin(); }
     auto end() const noexcept { return entries_.end(); }
     auto begin() noexcept { return entries_.begin(); }
@@ -91,6 +94,55 @@ private:
     }
 
     std::vector<value_type> entries_;
+};
+
+/// Result rows in one flat arena: every row's fields (interned name,
+/// value) back to back, plus the index one past each row's last field.
+/// AggregationDB emits its groups here; the query layer orders row
+/// indices over the arena and builds RecordMaps only for the rows it
+/// returns.
+class RowArena {
+public:
+    using Field = RecordMap::value_type;
+
+    /// Append a field to the row being built.
+    void append(const char* interned_name, const Variant& value) {
+        fields_.emplace_back(interned_name, value);
+    }
+    /// Close the row being built (it may be empty).
+    void end_row() { ends_.push_back(static_cast<std::uint32_t>(fields_.size())); }
+    void reserve(std::size_t rows, std::size_t fields) {
+        ends_.reserve(rows);
+        fields_.reserve(fields);
+    }
+
+    std::size_t rows() const noexcept { return ends_.size(); }
+    /// Index of row \a r's first field in fields().
+    std::uint32_t row_begin(std::size_t r) const noexcept { return r ? ends_[r - 1] : 0; }
+    std::span<const Field> row(std::size_t r) const noexcept {
+        return std::span<const Field>(fields_).subspan(row_begin(r),
+                                                       ends_[r] - row_begin(r));
+    }
+    const std::vector<Field>& fields() const noexcept { return fields_; }
+
+    RecordMap record(std::size_t r) const {
+        RecordMap out;
+        out.reserve(ends_[r] - row_begin(r));
+        for (const Field& f : row(r))
+            out.append(f.first, f.second);
+        return out;
+    }
+    std::vector<RecordMap> records() const {
+        std::vector<RecordMap> out;
+        out.reserve(rows());
+        for (std::size_t r = 0; r < rows(); ++r)
+            out.push_back(record(r));
+        return out;
+    }
+
+private:
+    std::vector<Field> fields_;
+    std::vector<std::uint32_t> ends_;
 };
 
 } // namespace calib

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 namespace calib {
 
@@ -296,84 +297,190 @@ void QueryProcessor::merge_serialized(std::span<const std::byte> data) {
     }
 }
 
-void QueryProcessor::sort_records(std::vector<RecordMap>& records) const {
-    if (spec_.sort.empty())
-        return;
-    std::stable_sort(records.begin(), records.end(),
-                     [this](const RecordMap& a, const RecordMap& b) {
-                         for (const SortSpec& s : spec_.sort) {
-                             const Variant va = a.get(s.attribute);
-                             const Variant vb = b.get(s.attribute);
-                             const int c      = va.compare(vb);
-                             if (c != 0)
-                                 return s.descending ? c > 0 : c < 0;
-                         }
-                         return false;
-                     });
+namespace {
+
+using Field = RowArena::Field;
+
+/// Where each ORDER BY term reads its value: the term's own (interned)
+/// name first, then, in SELECT order, every column SELECT aliases to it.
+std::vector<std::vector<const char*>> sort_columns(const QuerySpec& spec) {
+    std::vector<std::vector<const char*>> out;
+    for (const SortSpec& s : spec.sort) {
+        std::vector<const char*> names{intern(s.attribute)};
+        for (const std::string& column : spec.select) {
+            const auto alias = spec.aliases.find(column);
+            if (alias != spec.aliases.end() && alias->second == s.attribute)
+                names.push_back(intern(column));
+        }
+        out.push_back(std::move(names));
+    }
+    return out;
 }
 
-// Aggregated rows come out of the hash table in insertion order, which
-// depends on how the input was partitioned. Re-sorting them by their
-// name-sorted (name, value) field sequences yields an order determined only
-// by the row *contents* — so serial and parallel runs (any thread count)
-// emit identical bytes. User ORDER BY is applied afterwards with a stable
-// sort, preserving this canonical order among ties.
-void QueryProcessor::canonicalize_rows(std::vector<RecordMap>& records) const {
-    if (records.size() < 2)
-        return;
-    using FieldPtr = const RecordMap::value_type*;
-    std::vector<std::pair<std::vector<FieldPtr>, std::size_t>> keys;
-    keys.reserve(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        std::vector<FieldPtr> fields;
-        fields.reserve(records[i].size());
-        for (const auto& field : records[i])
-            fields.push_back(&field);
-        // field order inside a record can differ across registries
-        // (attribute-id order); names are unique within a row
-        std::sort(fields.begin(), fields.end(), [](FieldPtr a, FieldPtr b) {
-            return std::strcmp(a->first, b->first) < 0;
-        });
-        keys.emplace_back(std::move(fields), i);
+/// Append one row's ORDER BY values to \a keys (empty where the row has
+/// none of a term's columns). Row names are interned, so they match the
+/// resolved names by pointer.
+void append_sort_keys(std::span<const Field> row,
+                      const std::vector<std::vector<const char*>>& columns,
+                      std::vector<Variant>& keys) {
+    for (const std::vector<const char*>& names : columns) {
+        const Variant* value = nullptr;
+        for (std::size_t n = 0; n < names.size() && !value; ++n)
+            for (const Field& f : row)
+                if (f.first == names[n]) {
+                    value = &f.second;
+                    break;
+                }
+        keys.push_back(value ? *value : Variant());
     }
-    std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
-        const std::size_t n = std::min(a.first.size(), b.first.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const int c = std::strcmp(a.first[i]->first, b.first[i]->first);
+}
+
+/// Row indices [0, n) ordered by the ORDER BY values (keys[r * terms + t])
+/// with \a tie deciding equal ones; with a LIMIT below n only the first
+/// \a limit are sorted (partial_sort) and returned.
+template <typename Tie>
+std::vector<std::uint32_t> ordered_rows(std::size_t n, const std::vector<Variant>& keys,
+                                        const std::vector<SortSpec>& sort,
+                                        std::size_t limit, const Tie& tie) {
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    const std::size_t terms = sort.size();
+    const auto less = [&](std::uint32_t a, std::uint32_t b) {
+        const Variant* ka = keys.data() + a * terms;
+        const Variant* kb = keys.data() + b * terms;
+        for (std::size_t t = 0; t < terms; ++t) {
+            const int c = ka[t].compare(kb[t]);
             if (c != 0)
-                return c < 0;
+                return sort[t].descending ? c > 0 : c < 0;
+        }
+        return tie(a, b);
+    };
+    if (limit > 0 && limit < n) {
+        const auto head = order.begin() + static_cast<std::ptrdiff_t>(limit);
+        std::partial_sort(order.begin(), head, order.end(), less);
+        order.resize(limit);
+    } else {
+        std::sort(order.begin(), order.end(), less);
+    }
+    return order;
+}
+
+/// Canonical order of aggregated rows. Groups come out of the hash table
+/// in insertion order, which depends on how the input was partitioned;
+/// ordering rows by their name-sorted (name, value) field sequences makes
+/// the order a function of row contents alone, so serial and parallel
+/// runs (any thread count, merge strategy or spill) emit identical bytes.
+/// The order is total on distinct rows.
+class CanonicalOrder {
+public:
+    explicit CanonicalOrder(const RowArena& rows) : rows_(rows), layout_(rows.rows()) {
+        for (std::size_t r = 0; r < rows.rows(); ++r) {
+            const std::span<const Field> row = rows.row(r);
+            // rows mostly share one field layout: sort names only when the
+            // layout changes. Names are unique within a row except in
+            // overflow records; a stable sort keeps those in emission order.
+            if (r > 0 && same_names(rows.row(r - 1), row)) {
+                layout_[r] = layout_[r - 1];
+                continue;
+            }
+            const std::size_t b = perm_.size();
+            layout_[r]          = static_cast<std::uint32_t>(b);
+            perm_.resize(b + row.size());
+            std::iota(perm_.begin() + static_cast<std::ptrdiff_t>(b), perm_.end(), 0u);
+            std::stable_sort(perm_.begin() + static_cast<std::ptrdiff_t>(b), perm_.end(),
+                             [&row](std::uint32_t x, std::uint32_t y) {
+                                 return std::strcmp(row[x].first, row[y].first) < 0;
+                             });
+        }
+    }
+
+    bool less(std::uint32_t a, std::uint32_t b) const {
+        const std::span<const Field> x = rows_.row(a);
+        const std::span<const Field> y = rows_.row(b);
+        const std::uint32_t* px        = perm_.data() + layout_[a];
+        const std::uint32_t* py        = perm_.data() + layout_[b];
+        for (std::size_t i = 0; i < x.size() && i < y.size(); ++i) {
+            const Field& fx = x[px[i]];
+            const Field& fy = y[py[i]];
+            if (fx.first != fy.first)
+                if (const int c = std::strcmp(fx.first, fy.first); c != 0)
+                    return c < 0;
             // compare() ranks 0 and -0 (and NaN payloads) equal, but they
             // are distinct groups: break its ties by identity, or such rows
             // keep the hash table's (merge-strategy dependent) order
-            const Variant& va = a.first[i]->second;
-            const Variant& vb = b.first[i]->second;
-            const int v = va.compare(vb);
-            if (v != 0)
-                return v < 0;
-            const int id = va.identity_compare(vb);
-            if (id != 0)
-                return id < 0;
+            if (const int c = fx.second.compare(fy.second); c != 0)
+                return c < 0;
+            if (const int c = fx.second.identity_compare(fy.second); c != 0)
+                return c < 0;
         }
-        return a.first.size() < b.first.size();
-    });
+        return x.size() < y.size();
+    }
+
+private:
+    static bool same_names(std::span<const Field> a, std::span<const Field> b) {
+        if (a.size() != b.size())
+            return false;
+        for (std::size_t i = 0; i < a.size(); ++i)
+            if (a[i].first != b[i].first)
+                return false;
+        return true;
+    }
+
+    const RowArena& rows_;
+    /// Name order of each distinct run of field layouts: field positions
+    /// within a row, back to back.
+    std::vector<std::uint32_t> perm_;
+    std::vector<std::uint32_t> layout_; ///< per row: its name order in perm_
+};
+
+} // namespace
+
+std::vector<RecordMap> QueryProcessor::top_rows(const RowArena& rows) const {
+    const auto columns = sort_columns(spec_);
+    std::vector<Variant> keys;
+    keys.reserve(rows.rows() * columns.size());
+    for (std::size_t r = 0; r < rows.rows(); ++r)
+        append_sort_keys(rows.row(r), columns, keys);
+    const CanonicalOrder canonical(rows);
+    const std::vector<std::uint32_t> order = ordered_rows(
+        rows.rows(), keys, spec_.sort, spec_.limit,
+        [&canonical](std::uint32_t a, std::uint32_t b) { return canonical.less(a, b); });
     std::vector<RecordMap> out;
-    out.reserve(records.size());
-    for (auto& [fields, index] : keys)
-        out.push_back(std::move(records[index]));
-    records = std::move(out);
+    out.reserve(order.size());
+    for (const std::uint32_t r : order)
+        out.push_back(rows.record(r));
+    return out;
+}
+
+void QueryProcessor::sort_records(std::vector<RecordMap>& records) const {
+    if (spec_.sort.empty())
+        return;
+    const auto columns = sort_columns(spec_);
+    std::vector<Variant> keys;
+    keys.reserve(records.size() * columns.size());
+    for (const RecordMap& r : records)
+        append_sort_keys(r.fields(), columns, keys);
+    // input order breaks ties
+    const std::vector<std::uint32_t> order =
+        ordered_rows(records.size(), keys, spec_.sort, spec_.limit,
+                     [](std::uint32_t a, std::uint32_t b) { return a < b; });
+    std::vector<RecordMap> sorted;
+    sorted.reserve(order.size());
+    for (const std::uint32_t r : order)
+        sorted.push_back(std::move(records[r]));
+    records = std::move(sorted);
 }
 
 const std::vector<RecordMap>& QueryProcessor::result() {
     if (result_)
         return *result_;
+    if (db_ || wdb_) {
+        // a window's rows are the fold of its live panes
+        result_ = top_rows(db_ ? db_->flush_rows() : wdb_->flush_rows());
+        return *result_;
+    }
     std::vector<RecordMap> out;
-    if (db_) {
-        out = db_->flush();
-        canonicalize_rows(out);
-    } else if (wdb_) {
-        out = wdb_->flush(); // fold of the live panes
-        canonicalize_rows(out);
-    } else if (spec_.window.enabled()) {
+    if (spec_.window.enabled()) {
         // windowed passthrough: keep rows whose pane lies in the trailing
         // window ending at the watermark, preserving input order
         if (pass_watermark_) {
@@ -442,8 +549,15 @@ std::vector<std::string> unknown_query_attributes(const QuerySpec& spec,
         if (!known(op.attribute) && !registry.find(fallback).valid())
             warn("AGGREGATE", op.attribute, "the result will be empty");
     }
+    // ORDER BY may also name a SELECT alias of a column
+    auto aliases_known = [&](const std::string& name) {
+        for (const auto& [column, alias] : spec.aliases)
+            if (alias == name && known(column))
+                return true;
+        return false;
+    };
     for (const SortSpec& s : spec.sort)
-        if (!known(s.attribute))
+        if (!known(s.attribute) && !aliases_known(s.attribute))
             warn("ORDER BY", s.attribute, "it has no effect on the order");
     return warnings;
 }

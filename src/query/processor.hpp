@@ -102,7 +102,18 @@ public:
     /// counts stay on the processor.
     std::vector<std::byte> take_partial();
 
-    /// Finish the query: flush, sort, apply LIMIT. Idempotent.
+    /// Finish the query and return its rows. Idempotent. Aggregated rows
+    /// are ordered by the ORDER BY values, then canonically: by their
+    /// name-sorted (name, value) field sequences, with compare() ties
+    /// broken by identity_compare(). That order is total on distinct rows
+    /// and a function of row contents alone, so any thread count, merge
+    /// strategy or spill gives the same rows. The row indices are sorted
+    /// over the flushed group arena (partially, when LIMIT is below the
+    /// row count), and only the rows returned become RecordMaps; a LIMIT k
+    /// answer is the first k rows of the unlimited one. Passthrough rows
+    /// are ordered by ORDER BY with input order breaking ties. An ORDER BY
+    /// term reads the column of that name, or else the column a SELECT
+    /// alias of that name renames.
     const std::vector<RecordMap>& result();
 
     /// Finish and render with the spec's formatter.
@@ -120,8 +131,11 @@ public:
     std::uint64_t num_records_kept() const noexcept { return kept_; }
 
 private:
+    /// Aggregated rows in result order, LIMIT applied (see result()).
+    std::vector<RecordMap> top_rows(const RowArena& rows) const;
+    /// Passthrough rows: a stable ORDER BY (keeping only the first LIMIT
+    /// rows when LIMIT is set).
     void sort_records(std::vector<RecordMap>& records) const;
-    void canonicalize_rows(std::vector<RecordMap>& records) const;
     /// Time-attribute value of a record in windowed passthrough mode
     /// (lazily resolves the attribute id, AggregationDB-style).
     Variant passthrough_timestamp(const IdRecord& record);

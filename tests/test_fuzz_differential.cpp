@@ -191,3 +191,53 @@ TEST(FuzzOracle, WindowRestrictsToTrailingPanes) {
     tampered[0].set("count", Variant(static_cast<unsigned long long>(99)));
     EXPECT_FALSE(cf::oracle_compare(spec, oracle, tampered).empty());
 }
+
+TEST(FuzzGenerators, QuerySweepOrdersByResultsAndAliases) {
+    // the top-N family must appear: ORDER BY op result labels, op aliases
+    // and SELECT aliases of GROUP BY keys, with one and with two terms
+    const cf::Corpus corpus = cf::generate_corpus(3);
+    bool saw_label = false, saw_op_alias = false, saw_key_alias = false,
+         saw_two_terms = false;
+    for (std::uint64_t seed = 0; seed < 400; ++seed) {
+        const std::string q     = cf::generate_query(seed, corpus);
+        const std::size_t order = q.find("ORDER BY ");
+        if (order == std::string::npos)
+            continue;
+        const calib::QuerySpec spec = calib::parse_calql(q);
+        for (const calib::SortSpec& s : spec.sort) {
+            if (s.attribute.find('#') != std::string::npos || s.attribute == "count")
+                saw_label = true;
+            if (s.attribute.rfind("alias", 0) == 0)
+                saw_op_alias = true;
+            if (s.attribute == "key.alias")
+                saw_key_alias = true;
+        }
+        if (spec.sort.size() == 2)
+            saw_two_terms = true;
+    }
+    EXPECT_TRUE(saw_label);
+    EXPECT_TRUE(saw_op_alias);
+    EXPECT_TRUE(saw_key_alias);
+    EXPECT_TRUE(saw_two_terms);
+}
+
+TEST(FuzzOracle, ReferenceOrderRejectsReorderedRows) {
+    std::vector<RecordMap> records;
+    for (int i = 0; i < 6; ++i) {
+        RecordMap r;
+        r.append("region", Variant(std::string(1, static_cast<char>('a' + i % 3))));
+        r.append("time", Variant(static_cast<std::int64_t>(i)));
+        records.push_back(std::move(r));
+    }
+    const char* query = "AGGREGATE sum(time) AS t GROUP BY region ORDER BY t DESC";
+    const calib::QuerySpec spec = calib::parse_calql(query);
+    std::vector<RecordMap> rows = calib::run_query(query, records);
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(cf::first_row_difference(cf::reference_order(spec, rows), rows), 3u);
+
+    // swapped rows are out of order, and no longer a prefix of the result
+    const std::vector<RecordMap> result = rows;
+    std::swap(rows[0], rows[1]);
+    EXPECT_EQ(cf::first_row_difference(cf::reference_order(spec, rows), rows), 0u);
+    EXPECT_EQ(cf::first_row_difference(rows, result), 0u);
+}

@@ -23,9 +23,10 @@ struct State {
     void update(const Variant& v) { state_update(op, buf.data(), v); }
     void merge(const State& o) { state_merge(op, buf.data(), o.buf.data()); }
     RecordMap result(const AggOpConfig& cfg, double denom = 0.0) const {
-        RecordMap out;
-        state_result(op, buf.data(), cfg, out, denom);
-        return out;
+        RowArena out;
+        state_result(op, buf.data(), intern(cfg.result_label()), out, denom);
+        out.end_row();
+        return out.record(0);
     }
     std::vector<std::byte> serialize() const {
         std::vector<std::byte> bytes;

@@ -1,10 +1,12 @@
 // End-to-end query pipeline tests: filter -> aggregate -> sort -> limit,
 // plus cross-processor merge (the local stage of §IV-C).
+#include "oracle.hpp"
 #include "query/processor.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 using namespace calib;
@@ -90,6 +92,94 @@ TEST(QueryProcessor, LimitTruncates) {
     auto out = run_query(
         "AGGREGATE count GROUP BY function,loop.iteration LIMIT 4", event_stream());
     EXPECT_EQ(out.size(), 4u);
+
+    // LIMIT k keeps the head of the full order, whose order is the
+    // reference one (fuzz/oracle.hpp), on rows that tie every way result()
+    // must break: +-0.0 and NaN keys, an ORDER BY column mixing Int 5 and
+    // Double 5.0 (equal under compare(), distinct under identity_compare()),
+    // and tied sums. 21 groups exceed the 16-entry table a 1-byte budget
+    // allows, so that flush is spilled.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const Variant ks[] = {Variant(0.0), Variant(-0.0), Variant(nan), Variant(1.5),
+                          Variant(5LL), Variant(5.0),  Variant("a")};
+    const Variant ms[] = {Variant(5LL), Variant(5.0), Variant(2LL)};
+    std::vector<RecordMap> input;
+    for (long long i = 0; i < 84; ++i)
+        input.push_back(record({{"k", ks[i % 7]},
+                                {"m", ms[(i / 7) % 3]},
+                                {"v", Variant(i % 4)},
+                                {"t", Variant(i)}}));
+    const std::string queries[] = {
+        "AGGREGATE count,sum(v) GROUP BY k,m",
+        "AGGREGATE count,sum(v) AS total GROUP BY k,m ORDER BY total DESC",
+        "AGGREGATE count,sum(v) GROUP BY k,m ORDER BY m",
+        "AGGREGATE count,sum(v) GROUP BY k,m ORDER BY m DESC,k",
+        "AGGREGATE count,sum(v) GROUP BY k,m ORDER BY no.such.attribute",
+        "AGGREGATE count,sum(v) AS total GROUP BY k,m WINDOW 40 BY t "
+        "ORDER BY total DESC",
+        "WHERE v ORDER BY m DESC",
+    };
+    for (const std::size_t budget : {std::size_t(0), std::size_t(1)}) {
+        for (const std::string& q : queries) {
+            const auto run = [&](const std::string& text) {
+                QueryProcessor proc(parse_calql(text));
+                proc.set_aggregation_memory_budget(budget);
+                proc.add(input);
+                if (budget && proc.aggregation_db()) {
+                    EXPECT_TRUE(proc.aggregation_db()->spilled()) << text;
+                }
+                return proc.result();
+            };
+            const std::vector<RecordMap> all = run(q);
+            const std::size_t n              = all.size();
+            ASSERT_GE(n, 4u) << q;
+            EXPECT_EQ(fuzz::first_row_difference(
+                          fuzz::reference_order(parse_calql(q), all), all),
+                      n)
+                << q << " (budget " << budget << ")";
+            for (const std::size_t k :
+                 {std::size_t(1), std::size_t(3), n - 1, n, n + 1}) {
+                const std::string limited = q + " LIMIT " + std::to_string(k);
+                const std::vector<RecordMap> top = run(limited);
+                ASSERT_EQ(top.size(), std::min(k, n)) << limited;
+                EXPECT_EQ(fuzz::first_row_difference(top, all), top.size())
+                    << limited << " (budget " << budget << ")";
+            }
+        }
+    }
+}
+
+TEST(QueryProcessor, OrderBySelectAliasOfColumn) {
+    const std::vector<RecordMap> input = {
+        record({{"k", Variant("b")}, {"v", Variant(3)}}),
+        record({{"k", Variant("a")}, {"v", Variant(5)}}),
+        record({{"k", Variant("c")}, {"v", Variant(1)}}),
+        record({{"k", Variant("a")}, {"v", Variant(2)}}),
+    };
+    const char* query =
+        "SELECT k AS name,sum(v) GROUP BY k ORDER BY name DESC FORMAT csv";
+    std::ostringstream os;
+    run_query(query, input, os);
+    EXPECT_EQ(os.str(), "name,sum#v\nc,1\nb,3\na,7\n");
+
+    // the alias is a known name, not an attribute missing from the input
+    QueryProcessor proc(parse_calql(query));
+    proc.add(input);
+    EXPECT_TRUE(unknown_query_attributes(proc.spec(), *proc.registry()).empty());
+
+    // passthrough rows sort by the aliased column too, ties in input order
+    const auto rows = run_query("SELECT k AS name,v ORDER BY name", input);
+    ASSERT_EQ(rows.size(), 4u);
+    EXPECT_EQ(rows[0].get("v"), Variant(5));
+    EXPECT_EQ(rows[1].get("v"), Variant(2));
+    EXPECT_EQ(rows[2].get("k"), Variant("b"));
+    EXPECT_EQ(rows[3].get("k"), Variant("c"));
+
+    // a row that carries the name itself still sorts by it
+    const auto own = run_query("SELECT k AS v ORDER BY v", input);
+    ASSERT_EQ(own.size(), 4u);
+    EXPECT_EQ(own[0].get("v"), Variant(1));
+    EXPECT_EQ(own[3].get("v"), Variant(5));
 }
 
 TEST(QueryProcessor, NoAggregationPassesThrough) {

@@ -112,11 +112,11 @@ TEST_F(WindowTest, TumblingWindowKeepsOnlyCurrentPane) {
                            window(10), &registry);
     process(agg, rec(1, "a"));
     process(agg, rec(2, "a"));
-    EXPECT_EQ(agg.flush().size(), 1u);
+    EXPECT_EQ(agg.flush_rows().rows(), 1u);
 
     // crossing into pane 1 retires pane 0 (tumbling: one live pane)
     process(agg, rec(10, "b"));
-    auto rows = agg.flush();
+    auto rows = agg.flush_rows().records();
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(count_of(rows, "b"), 1u);
     EXPECT_EQ(agg.pane_count(), 1u);
@@ -130,7 +130,7 @@ TEST_F(WindowTest, SlidingWindowFoldsLivePanes) {
         process(agg, rec(pane * 10 + 1, pane % 2 ? "odd" : "even"));
 
     // watermark = pane 4; live = panes {2, 3, 4}
-    auto rows = agg.flush();
+    auto rows = agg.flush_rows().records();
     EXPECT_EQ(count_of(rows, "even"), 2u); // panes 2 and 4
     EXPECT_EQ(count_of(rows, "odd"), 1u);  // pane 3
     EXPECT_EQ(agg.pane_count(), 3u);
@@ -143,7 +143,7 @@ TEST_F(WindowTest, BoundaryTimestampOpensNewPane) {
     process(agg, rec(9.999, "a")); // pane 0
     process(agg, rec(10, "b"));    // pane 1 — exactly on the edge
     process(agg, rec(20, "c"));    // pane 2; retires pane 0
-    auto rows = agg.flush();
+    auto rows = agg.flush_rows().records();
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(count_of(rows, "b"), 1u);
     EXPECT_EQ(count_of(rows, "c"), 1u);
@@ -156,7 +156,7 @@ TEST_F(WindowTest, OutOfOrderWithinWindowMerges) {
     process(agg, rec(5, "a"));  // pane 0 — older but still live
     process(agg, rec(15, "a")); // pane 1
     process(agg, rec(26, "a")); // pane 2 again (duplicate timestamp region)
-    auto rows = agg.flush();
+    auto rows = agg.flush_rows().records();
     EXPECT_EQ(count_of(rows, "a"), 4u);
     EXPECT_EQ(agg.dropped_late(), 0u);
 }
@@ -168,7 +168,7 @@ TEST_F(WindowTest, LateRecordsDropDeterministically) {
     process(agg, rec(5, "b"));  // pane 0: late, dropped
     process(agg, rec(19, "b")); // pane 1: late, dropped
     process(agg, rec(25, "c")); // pane 2: still live
-    auto rows = agg.flush();
+    auto rows = agg.flush_rows().records();
     EXPECT_EQ(rows.size(), 2u);
     EXPECT_EQ(agg.dropped_late(), 2u);
     EXPECT_EQ(count_of(rows, "c"), 1u);
@@ -188,7 +188,7 @@ TEST_F(WindowTest, MissingAndNonNumericTimestampsDropAndCount) {
     IdRecord nan_rec = rec(std::nan(""), "a");
     process(agg, nan_rec);
 
-    auto rows = agg.flush();
+    auto rows = agg.flush_rows().records();
     EXPECT_EQ(count_of(rows, "a"), 1u); // only the timestamped record counts
     EXPECT_EQ(agg.dropped_no_time(), 3u);
 }
@@ -228,8 +228,8 @@ TEST_F(WindowTest, SerializeRoundTripMatchesDirect) {
     merged.merge_serialized(part2.serialize());
 
     EXPECT_EQ(merged.watermark(), direct.watermark());
-    auto a = direct.flush();
-    auto b = merged.flush();
+    auto a = direct.flush_rows().records();
+    auto b = merged.flush_rows().records();
     ASSERT_EQ(a.size(), b.size());
     for (const char* k : {"x", "y"}) {
         EXPECT_EQ(find_record(a, "kernel", Variant(k)).get("count"),
@@ -248,7 +248,7 @@ TEST_F(WindowTest, MergeCombinesWatermarksAsMax) {
 
     a.merge(std::move(b));
     EXPECT_EQ(a.watermark(), std::optional<std::int64_t>(9));
-    auto rows = a.flush();
+    auto rows = a.flush_rows().records();
     // pane 0 retired on merge: only the newer pane survives the tumble
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(count_of(rows, "new"), 1u);
@@ -264,7 +264,7 @@ TEST_F(WindowTest, SpilledPanesSurviveTheFlushFold) {
     for (int i = 0; i < 48; ++i)
         process(agg, rec(i, ("k" + std::to_string(i)).c_str()));
 
-    const std::vector<RecordMap> rows = agg.flush();
+    const std::vector<RecordMap> rows = agg.flush_rows().records();
     ASSERT_EQ(rows.size(), 48u);
     for (int i = 0; i < 48; ++i) {
         const std::string kernel = "k" + std::to_string(i);
@@ -347,7 +347,7 @@ TEST_F(WindowTest, BatchedPaneAssignmentMatchesOneRowBatches) {
         ++want_count[g];
         want_sum[g] += input[r].get(v).to_int();
     }
-    const std::vector<RecordMap> got = batched.flush();
+    const std::vector<RecordMap> got = batched.flush_rows().records();
     ASSERT_EQ(got.size(), 2u);
     const char* kernels[] = {"a", "b"};
     for (int g = 0; g < 2; ++g) {
