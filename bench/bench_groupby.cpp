@@ -131,6 +131,9 @@ Measured run_strategy(const QuerySpec& spec, const std::vector<std::string>& fil
         engine::EngineOptions opts;
         opts.threads        = threads;
         opts.merge_strategy = strategy;
+        // one morsel per file: the ~1.2 MB files would pack in pairs at the
+        // default target, and the groupby/* gates measure the 16-morsel DAG
+        opts.bytes_per_morsel = 0;
         if (radix_bits != 0)
             opts.merge_radix_bits = radix_bits;
         engine::ParallelQueryProcessor eng(spec, opts);
@@ -161,7 +164,8 @@ Measured run_strategy(const QuerySpec& spec, const std::vector<std::string>& fil
 } // namespace
 
 int main() {
-    // 16 files → 16 morsels → a 4-level merge DAG; phase-2 strategy choice
+    // 16 files → 16 morsels (bytes_per_morsel = 0, see run_strategy) → a
+    // 4-level merge DAG; phase-2 strategy choice
     // only matters when each key is merged several times, so the default
     // config keeps key multiplicity ≥4 (see cfg_per_file below)
     const int nfiles   = env_int("CALIB_BENCH_GB_FILES", 16);

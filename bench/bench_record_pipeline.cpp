@@ -9,6 +9,16 @@
 // zero-copy mmap buffer vs the read() fallback, plus the parallel engine
 // at t1/t2/t4 over byte-range morsels — and writes BENCH_io.json.
 //
+// A third section sweeps EngineOptions::bytes_per_morsel (0 = one morsel
+// per file, 512 KiB, 1, 2 and 4 MiB) at t1 and t4 over two shapes of the
+// same high-cardinality records (zipf(1) over 256 call paths x 16 ranks x
+// 4 iterations, ~14k groups, a top-100 query): 48 small files (~127 KB
+// each), which pack into morsels, and one ~6 MB file, which splits into
+// byte-range chunks. Each point records wall time, the phase-2 merge time
+// and the morsel count; JSON output must be byte-identical across thread
+// counts at every target. Writes BENCH_morsel.json; docs/ENGINE.md
+// ("Morsel sizing") reads the default target off it.
+//
 // Environment knobs:
 //   CALIB_BENCH_RP_FILES    input files                  (default 4)
 //   CALIB_BENCH_RP_REPS     repetitions per path         (default 3; best kept)
@@ -17,12 +27,14 @@
 #include "bench_common.hpp"
 #include "engine/parallel_processor.hpp"
 #include "io/calireader.hpp"
+#include "io/caliwriter.hpp"
 #include "io/filebuffer.hpp"
 #include "obs/metrics.hpp"
 #include "query/calql.hpp"
 #include "query/processor.hpp"
 #include "runtime/clock.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -196,6 +208,162 @@ int run_io_bench(const QuerySpec& spec, int reps) {
     return identical ? 0 : 1;
 }
 
+// ---------------------------------------------------- morsel-target sweep
+
+/// Deterministic xorshift64*: every run and host generates the same input.
+struct Rng {
+    std::uint64_t s;
+    explicit Rng(std::uint64_t seed) : s(seed) {}
+    std::uint64_t next() {
+        s ^= s >> 12;
+        s ^= s << 25;
+        s ^= s >> 27;
+        return s * 0x2545F4914F6CDD1DULL;
+    }
+    std::uint64_t below(std::uint64_t n) { return next() % n; }
+    double unit() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
+};
+
+/// High-cardinality profile records: a zipf(1) call path out of 256, a
+/// rank out of 16 and an iteration out of 4 (~14k distinct keys over
+/// 96k records), plus two metrics. Written as \a nfiles files, or as one
+/// file holding the same records when \a nfiles is 1 and \a per_file is
+/// their total.
+std::vector<std::string> write_highcard(const std::string& dir, const std::string& stem,
+                                        int nfiles, int per_file) {
+    constexpr int kPaths = 256;
+    std::vector<std::string> paths;
+    for (int i = 0; i < kPaths; ++i)
+        paths.push_back("main/phase_" + std::to_string(i % 4) + "/region_" +
+                        std::to_string(i / 4 % 4) + "/kernel_" +
+                        std::to_string(i / 16) + "/block_" + std::to_string(i % 16));
+    std::vector<double> cdf(kPaths);
+    double total = 0;
+    for (int i = 0; i < kPaths; ++i)
+        cdf[i] = total += 1.0 / (i + 1);
+    Rng rng(0x5EEDULL);
+    std::vector<std::string> files;
+    for (int f = 0; f < nfiles; ++f) {
+        files.push_back(dir + "/" + stem + "-" + std::to_string(f) + ".cali");
+        std::ofstream os(files.back());
+        CaliWriter w(os);
+        for (int i = 0; i < per_file; ++i) {
+            const auto rank = static_cast<std::size_t>(
+                std::upper_bound(cdf.begin(), cdf.end(), rng.unit() * total) -
+                cdf.begin());
+            RecordMap r;
+            r.append("callpath", Variant(paths[std::min<std::size_t>(rank, kPaths - 1)]));
+            r.append("mpi.rank", Variant(static_cast<long long>(rng.below(16))));
+            r.append("iteration#mainloop", Variant(static_cast<long long>(rng.below(4))));
+            r.append("time.ns", Variant(static_cast<long long>(500 + rng.below(100000))));
+            r.append("mem.bytes", Variant(static_cast<long long>(rng.below(1 << 20))));
+            w.write_record(r);
+        }
+    }
+    return files;
+}
+
+struct SweepPoint {
+    double wall_s       = 0;
+    double merge_ms     = 0;
+    std::size_t morsels = 0;
+    std::string output;
+};
+
+SweepPoint run_target(const QuerySpec& spec, const std::vector<std::string>& files,
+                      std::size_t target, std::size_t threads, int reps) {
+    SweepPoint best;
+    for (int rep = 0; rep < reps; ++rep) {
+        engine::EngineOptions opts;
+        opts.threads          = threads;
+        opts.bytes_per_morsel = target;
+        const std::uint64_t t0 = now_ns();
+        engine::ParallelQueryProcessor eng(spec, opts);
+        QueryProcessor& proc = eng.run(files);
+        std::ostringstream os;
+        proc.write(os);
+        const double wall_s = static_cast<double>(now_ns() - t0) * 1e-9;
+        if (rep == 0 || wall_s < best.wall_s) {
+            best.wall_s   = wall_s;
+            best.merge_ms = static_cast<double>(eng.stats().merge_ns) * 1e-6;
+        }
+        if (rep == 0) {
+            best.morsels = eng.stats().morsels;
+            best.output  = os.str();
+        }
+    }
+    return best;
+}
+
+int run_morsel_sweep(int reps) {
+    // the offline_highcard layout: 48 per-rank files of 2000 records
+    constexpr int nfiles   = 48;
+    constexpr int per_file = 2000;
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "calib-bench-ms-data").string();
+    std::filesystem::create_directories(dir);
+    std::printf("\n# morsel-target sweep: %d files x %d records, and one file of "
+                "all of them...\n",
+                nfiles, per_file);
+    const std::vector<std::string> small =
+        write_highcard(dir, "small", nfiles, per_file);
+    const std::vector<std::string> one = write_highcard(dir, "one", 1, nfiles * per_file);
+    std::uint64_t small_bytes = 0;
+    for (const std::string& f : small)
+        small_bytes += std::filesystem::file_size(f);
+
+    // JSON output renders doubles exactly, so the identity check sees
+    // every bit of the averages
+    const QuerySpec spec = parse_calql(
+        "SELECT callpath,mpi.rank,iteration#mainloop,count,sum(time.ns) AS total_ns,"
+        "min(time.ns),max(time.ns),avg(time.ns) "
+        "GROUP BY callpath,mpi.rank,iteration#mainloop "
+        "ORDER BY total_ns DESC LIMIT 100 FORMAT json");
+    const std::pair<const char*, std::size_t> targets[] = {
+        {"perfile", 0},          {"512k", std::size_t(512) << 10},
+        {"1m", std::size_t(1) << 20}, {"2m", std::size_t(2) << 20},
+        {"4m", std::size_t(4) << 20}};
+    const std::pair<const char*, const std::vector<std::string>*> shapes[] = {
+        {"files", &small}, {"onefile", &one}};
+
+    std::printf("%8s %8s %8s %8s %10s %10s %6s\n", "shape", "target", "threads",
+                "morsels", "wall_s", "merge_ms", "ident");
+    std::ostringstream json;
+    json << "{\n  \"bench\": \"morsel\",\n  " << meta_json() << ",\n"
+         << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+         << ",\n  \"files\": " << nfiles << ",\n  \"records_per_file\": " << per_file
+         << ",\n  \"input_bytes\": " << small_bytes << ",\n  \"results\": [";
+    int violations = 0;
+    bool first     = true;
+    for (const auto& [shape, files] : shapes) {
+        for (const auto& [label, target] : targets) {
+            std::string reference;
+            for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+                const SweepPoint p = run_target(spec, *files, target, threads, reps);
+                if (threads == 1)
+                    reference = p.output;
+                const bool identical = p.output == reference;
+                violations += identical ? 0 : 1;
+                std::printf("%8s %8s %8zu %8zu %10.4f %10.3f %6s\n", shape, label,
+                            threads, p.morsels, p.wall_s, p.merge_ms,
+                            identical ? "yes" : "NO");
+                json << (first ? "" : ",") << "\n    {\"name\": \"" << shape << "-"
+                     << label << "-t" << threads << "\", \"wall_s\": " << p.wall_s
+                     << ", \"merge_ms\": " << p.merge_ms
+                     << ", \"morsels\": " << p.morsels << "}";
+                first = false;
+            }
+        }
+    }
+    json << "\n  ],\n  \"identity_violations\": " << violations << "\n}\n";
+
+    std::printf("\n%s", json.str().c_str());
+    std::ofstream("BENCH_morsel.json") << json.str();
+    std::printf("# wrote BENCH_morsel.json\n");
+    std::filesystem::remove_all(dir);
+    return violations == 0 ? 0 : 1;
+}
+
 } // namespace
 
 int main() {
@@ -274,5 +442,7 @@ int main() {
 
     std::filesystem::remove_all(dir);
 
-    return run_io_bench(spec, reps);
+    const int io = run_io_bench(spec, reps);
+    const int sweep = run_morsel_sweep(reps);
+    return io != 0 ? io : sweep;
 }

@@ -288,6 +288,17 @@ void AggregationDB::reserve(std::size_t entries) {
         grow_table(entries * 2);
 }
 
+void AggregationDB::grow_for(std::size_t entries) {
+    if (spill_limit_ != 0)
+        entries = std::min(entries, spill_limit_); // the table restarts there
+    if (entries <= entries_.capacity())
+        return;
+    std::size_t target = std::max(entries, entries_.capacity() * 2);
+    if (spill_limit_ != 0)
+        target = std::min(target, spill_limit_);
+    reserve(target);
+}
+
 void AggregationDB::resolve_ids() {
     const std::size_t gen = registry_->generation();
     if (fully_resolved_ || gen == resolved_generation_)
@@ -496,11 +507,7 @@ void AggregationDB::process_batch(const RecordBatch& batch,
         for (std::size_t i = 1; i < hash_scratch_.size(); ++i)
             if (hash_scratch_[i] != hash_scratch_[i - 1])
                 ++distinct;
-        std::size_t want = entries_.size() + distinct;
-        if (spill_limit_ != 0)
-            want = std::min(want, spill_limit_); // the table restarts at the budget
-        if (want > entries_.capacity())
-            reserve(want);
+        grow_for(entries_.size() + distinct);
     }
 
     // pass 2, in selection order: probe (with a last-key memo for
@@ -886,10 +893,7 @@ void AggregationDB::merge(const AggregationDB& other) {
     assert(config_.ops.size() == other.config_.ops.size());
     assert(!other.spilled()); // sources drain before they spill
     aggdb_merges.add();
-    std::size_t want = entries_.size() + other.entries_.size();
-    if (spill_limit_ != 0)
-        want = std::min(want, spill_limit_);
-    reserve(want);
+    grow_for(entries_.size() + other.entries_.size());
     for (std::size_t e = 0; e < other.entries_.size(); ++e) {
         const EntryRec& rec = other.entries_[e];
         const Entry* key    = other.key_arena_.data() + rec.key_offset;
@@ -1169,11 +1173,7 @@ void AggregationDB::merge_serialized_impl(std::span<const std::byte> data,
         throw std::runtime_error("AggregationDB: op-count mismatch in merge");
     const auto nprocessed = r.get<std::uint64_t>();
     const auto nentries   = r.get<std::uint32_t>();
-    std::size_t want      = entries_.size() +
-                       (bits == 0 ? nentries : nentries >> bits);
-    if (spill_limit_ != 0)
-        want = std::min<std::size_t>(want, spill_limit_);
-    reserve(want);
+    grow_for(entries_.size() + (bits == 0 ? nentries : nentries >> bits));
 
     // scratch for one deserialized kernel state (largest op state)
     std::uint64_t scratch[kernel::histogram_bins + 4];

@@ -206,6 +206,11 @@ private:
     bool skip_in_implicit_key(id_t attr);
     std::size_t find_or_insert(const Entry* key, std::size_t key_len, std::uint64_t hash);
     void grow_table(std::size_t min_slots);
+    /// Make room for \a entries entries (capped at the spill limit) before
+    /// a bulk insert. Capacity at least doubles when it grows, so a table
+    /// filled batch by batch or merge by merge reallocates its arenas
+    /// O(log n) times, not once per call; reserve() stays exact.
+    void grow_for(std::size_t entries);
     /// Copy one entry's key/state blocks from \a src verbatim and insert
     /// its table slot without key comparisons (caller guarantees the key
     /// is not present).

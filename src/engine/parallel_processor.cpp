@@ -18,6 +18,9 @@ namespace calib::engine {
 
 namespace {
 
+// records per morsel, from each morsel's partial after phase 1 (the
+// planned bytes are engine.morsel_bytes, recorded by make_morsels)
+obs::Histogram engine_morsel_records("engine.morsel_records");
 obs::Counter engine_early_flushes("engine.early_flushes");
 obs::Counter engine_early_flush_bytes("engine.early_flush_bytes");
 // last run's phase-2 profile: strategy code (0 none, 1 pairwise, 2 tree,
@@ -75,6 +78,36 @@ void read_cali_file(const std::string& path, AttributeRegistry& registry,
     for (RecordBatch& b : batches) {
         join_globals(b, globals);
         sink(b);
+    }
+}
+
+/// Feed every record of morsel \a m to \a feed: its whole files one after
+/// another, each with its own parser (and, with \a with_globals, its own
+/// globals), or its byte-range chunk with the split file's globals
+/// \a source_globals joined on.
+void read_morsel(const Morsel& m, AttributeRegistry& registry, std::size_t batch_size,
+                 bool with_globals, const IdRecord& source_globals,
+                 const CaliReader::BatchSink& feed) {
+    if (m.kind == Morsel::Kind::CaliBytes) {
+        // the shared source is already mapped and planned; this worker
+        // parses only its own byte span (plus the tiny attribute-definition
+        // prefix)
+        if (!with_globals) {
+            m.source->read_chunk_batches(m.chunk, registry, batch_size, feed);
+            return;
+        }
+        m.source->read_chunk_batches(m.chunk, registry, batch_size,
+                                     [&](RecordBatch& b) {
+                                         join_globals(b, source_globals);
+                                         feed(b);
+                                     });
+        return;
+    }
+    for (const std::string& path : m.paths) {
+        if (m.kind == Morsel::Kind::JsonFiles)
+            read_json_file_batches(path, registry, batch_size, feed);
+        else
+            read_cali_file(path, registry, batch_size, with_globals, feed);
     }
 }
 
@@ -164,7 +197,8 @@ QueryProcessor& ParallelQueryProcessor::run(const std::vector<std::string>& file
     stats_.morsels = morsels.size();
     if (morsels.size() <= 1) {
         stats_.threads = 1;
-        run_serial(files);
+        if (!morsels.empty())
+            run_serial(morsels.front());
         return root_;
     }
 
@@ -180,15 +214,11 @@ QueryProcessor& ParallelQueryProcessor::run(const std::vector<std::string>& file
     return root_;
 }
 
-void ParallelQueryProcessor::run_serial(const std::vector<std::string>& files) {
-    const std::size_t bs = opts_.batch_size;
-    const auto feed      = [this](RecordBatch& b) { root_.add_batch(b); };
-    for (const std::string& file : files) {
-        if (opts_.json_input)
-            read_json_file_batches(file, registry_, bs, feed);
-        else
-            read_cali_file(file, registry_, bs, opts_.with_globals, feed);
-    }
+void ParallelQueryProcessor::run_serial(const Morsel& morsel) {
+    obs::Phase process_phase("process"); // phase 1, as on the parallel path
+    read_morsel(morsel, registry_, opts_.batch_size, opts_.with_globals, IdRecord(),
+                [this](RecordBatch& b) { root_.add_batch(b); });
+    engine_morsel_records.record(root_.num_records_in());
 }
 
 void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
@@ -224,43 +254,23 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
         futures.push_back(pool.submit([this, &m = morsels[i], &p = partials[i],
                                        &source_globals] {
             QueryProcessor& proc = *p.proc;
-            auto flush_check     = [this, &proc, &p] {
-                if (opts_.max_partial_entries > 0 &&
-                    proc.aggregation_entries() > opts_.max_partial_entries) {
-                    std::vector<std::byte> buf = proc.take_partial();
-                    if (!buf.empty())
-                        p.flushed.push_back(std::move(buf));
-                }
-            };
-            auto feed = [&proc, &flush_check](RecordBatch& b) {
-                proc.add_batch(b);
-                flush_check();
-            };
-            const std::size_t bs = opts_.batch_size;
-            if (m.kind == Morsel::Kind::JsonFile) {
-                read_json_file_batches(m.path, registry_, bs, feed);
-            } else if (m.kind == Morsel::Kind::CaliBytes) {
-                // the shared source is already mapped and planned; this
-                // worker parses only its own byte span (plus the tiny
-                // attribute-definition prefix)
-                if (opts_.with_globals) {
-                    m.source->read_chunk_batches(m.chunk, registry_, bs,
-                                                 [&](RecordBatch& b) {
-                                                     join_globals(b, source_globals);
-                                                     feed(b);
-                                                 });
-                } else {
-                    m.source->read_chunk_batches(m.chunk, registry_, bs, feed);
-                }
-            } else {
-                read_cali_file(m.path, registry_, bs, opts_.with_globals, feed);
-            }
+            read_morsel(m, registry_, opts_.batch_size, opts_.with_globals,
+                        source_globals, [this, &proc, &p](RecordBatch& b) {
+                            proc.add_batch(b);
+                            if (opts_.max_partial_entries > 0 &&
+                                proc.aggregation_entries() > opts_.max_partial_entries) {
+                                std::vector<std::byte> buf = proc.take_partial();
+                                if (!buf.empty())
+                                    p.flushed.push_back(std::move(buf));
+                            }
+                        });
         }));
     }
     wait_all(futures);
     process_phase.reset();
 
     for (const Partial& p : partials) {
+        engine_morsel_records.record(p.proc->num_records_in());
         stats_.early_flushes += p.flushed.size();
         for (const std::vector<std::byte>& buf : p.flushed)
             stats_.early_flush_bytes += buf.size();

@@ -47,9 +47,12 @@ struct EngineOptions {
     bool json_input     = false;
     /// Join each file's globals (e.g. mpi.rank) onto its records.
     bool with_globals = false;
-    /// Target bytes per chunk when a single file is split into byte-range
-    /// morsels (0: never split).
-    std::size_t bytes_per_morsel = std::size_t(4) << 20;
+    /// Target input bytes per morsel, i.e. per phase-1 partial: consecutive
+    /// whole files pack into one morsel until it holds at least this many
+    /// bytes, and a lone .cali file splits into byte-range chunks of about
+    /// this size (see make_morsels). 0 gives one morsel per file and never
+    /// splits. The plan depends only on the input set and this target.
+    std::size_t bytes_per_morsel = default_bytes_per_morsel;
     /// Early-flush a worker partial exceeding this many aggregation
     /// entries (0 disables).
     std::size_t max_partial_entries = 1u << 20;
@@ -114,7 +117,7 @@ public:
     const EngineStats& stats() const noexcept { return stats_; }
 
 private:
-    void run_serial(const std::vector<std::string>& files);
+    void run_serial(const Morsel& morsel);
     void run_parallel(const std::vector<Morsel>& morsels, std::size_t threads);
 
     EngineOptions opts_;

@@ -41,7 +41,8 @@ QueryTimes parallel_query(const QuerySpec& spec, const std::vector<std::string>&
         const std::uint64_t t_start = now_ns();
 
         // local stage: this rank's share of the input files goes through
-        // the intra-process engine (threads == 1 is the exact serial path)
+        // the intra-process engine (one worker runs the same morsel plan as
+        // any other thread count)
         std::vector<std::string> my_files;
         for (std::size_t i = rank; i < files.size();
              i += static_cast<std::size_t>(size))

@@ -36,7 +36,8 @@ void usage() {
         "      --channel <name>  daemon channel to query (default: default)\n"
         "  -o, --output <file>   write the report to <file> instead of stdout\n"
         "  -t, --threads <n>     worker threads (default: hardware concurrency;\n"
-        "                        1 = serial; output is identical for any n)\n"
+        "                        1 runs the same morsel plan on one worker;\n"
+        "                        output is identical for any n)\n"
         "  -j, --json-input      inputs are JSON record arrays (FORMAT json output)\n"
         "  -G, --with-globals    join each file's globals (e.g. mpi.rank) onto\n"
         "                        every record of that file\n"

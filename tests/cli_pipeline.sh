@@ -42,30 +42,51 @@ echo "== mpi-caliquery: same query through the tree reduction =="
 
 diff serial.csv parallel.csv || { echo "serial and parallel results differ"; exit 1; }
 
-echo "== cali-query: -t 4 output is byte-identical to -t 1 =="
+echo "== small files pack into one morsel: -t 4 equals -t 1 =="
 "$CALI_QUERY" -t 1 -q "AGGREGATE sum(count),sum(sum#time.duration) GROUP BY kernel
-                       ORDER BY kernel FORMAT csv" clever-*.cali > t1.csv
-"$CALI_QUERY" -t 4 -q "AGGREGATE sum(count),sum(sum#time.duration) GROUP BY kernel
-                       ORDER BY kernel FORMAT csv" clever-*.cali > t4.csv
+                       ORDER BY kernel FORMAT csv" clever-*.cali > small_t1.csv
+"$CALI_QUERY" -t 4 -s -q "AGGREGATE sum(count),sum(sum#time.duration) GROUP BY kernel
+                       ORDER BY kernel FORMAT csv" clever-*.cali > small_t4.csv \
+    2> small_t4_stats.txt
+grep -q "(1 threads, 1 morsels)" small_t4_stats.txt || {
+    echo "two small files should pack into one morsel"; head -1 small_t4_stats.txt
+    exit 1; }
+diff small_t1.csv small_t4.csv || { echo "-t 1 and -t 4 results differ"; exit 1; }
+diff serial.csv small_t4.csv || { echo "default and -t 4 results differ"; exit 1; }
+
+# the runs below need several morsels: three rank files, each larger than
+# the default 2 MiB morsel target, so every file is a morsel of its own
+"$PARADIS_GEN" -n 3 --records 40000 -o pdbig >/dev/null
+big_q="AGGREGATE sum(time.inclusive.duration),count GROUP BY kernel,mpi.function
+       ORDER BY kernel,mpi.function FORMAT csv"
+# expect_morsels <stats file> <threads> <morsels>: the --stats summary line
+expect_morsels() {
+    grep -q "($2 threads, $3 morsels)" "$1" || {
+        echo "expected $2 threads and $3 morsels:"; head -1 "$1"; exit 1; }
+}
+
+echo "== cali-query: -t 4 output is byte-identical to -t 1 =="
+"$CALI_QUERY" -t 1 -s -q "$big_q" pdbig/*.cali > t1.csv 2> t1_stats.txt
+expect_morsels t1_stats.txt 1 3
+"$CALI_QUERY" -t 4 -s -q "$big_q" pdbig/*.cali > t4.csv 2> t4_stats.txt
+expect_morsels t4_stats.txt 3 3
+"$CALI_QUERY" -q "$big_q" pdbig/*.cali > big_default.csv
 diff t1.csv t4.csv || { echo "-t 1 and -t 4 results differ"; exit 1; }
-diff serial.csv t4.csv || { echo "default and -t 4 results differ"; exit 1; }
+diff big_default.csv t4.csv || { echo "default and -t 4 results differ"; exit 1; }
 
 echo "== --merge-strategy: every strategy byte-identical at t1 and t4 =="
 for strat in pairwise tree radix adaptive; do
-    "$CALI_QUERY" -t 1 --merge-strategy "$strat" \
-        -q "AGGREGATE sum(count),sum(sum#time.duration) GROUP BY kernel
-            ORDER BY kernel FORMAT csv" clever-*.cali > "ms_t1.csv"
-    "$CALI_QUERY" -t 4 --merge-strategy "$strat" \
-        -q "AGGREGATE sum(count),sum(sum#time.duration) GROUP BY kernel
-            ORDER BY kernel FORMAT csv" clever-*.cali > "ms_t4.csv"
+    "$CALI_QUERY" -t 1 --merge-strategy "$strat" -s -q "$big_q" pdbig/*.cali \
+        > ms_t1.csv 2> ms_t1_stats.txt
+    expect_morsels ms_t1_stats.txt 1 3
+    "$CALI_QUERY" -t 4 --merge-strategy "$strat" -q "$big_q" pdbig/*.cali \
+        > ms_t4.csv
     diff ms_t1.csv ms_t4.csv || {
         echo "--merge-strategy $strat: t1 and t4 differ"; exit 1; }
     diff t1.csv ms_t1.csv || {
         echo "--merge-strategy $strat differs from the default engine"; exit 1; }
 done
-CALIB_MERGE_STRATEGY=tree "$CALI_QUERY" -t 4 \
-    -q "AGGREGATE sum(count),sum(sum#time.duration) GROUP BY kernel
-        ORDER BY kernel FORMAT csv" clever-*.cali > ms_env.csv
+CALIB_MERGE_STRATEGY=tree "$CALI_QUERY" -t 4 -q "$big_q" pdbig/*.cali > ms_env.csv
 diff t1.csv ms_env.csv || { echo "CALIB_MERGE_STRATEGY changed output"; exit 1; }
 "$CALI_QUERY" --merge-strategy bogus -q "FORMAT csv" clever-0.cali 2>/dev/null && {
     echo "bogus --merge-strategy must fail"; exit 1; }
@@ -74,7 +95,7 @@ echo "== --merge-strategy: the engine.merge_strategy gauge reports the code =="
 for pair in pairwise:1 tree:2 radix:3; do
     strat=${pair%:*}; code=${pair#*:}
     "$CALI_QUERY" -t 4 --merge-strategy "$strat" --stats-json "ms_$strat.json" \
-        -q "AGGREGATE sum(count) GROUP BY kernel FORMAT csv" clever-*.cali \
+        -q "AGGREGATE sum(count) GROUP BY kernel FORMAT csv" pdbig/*.cali \
         > /dev/null
     grep -q "\"name\": \"engine.merge_strategy\", \"value\": $code" \
         "ms_$strat.json" || {
@@ -171,6 +192,9 @@ grep -q "reader.records" stats_err.txt
 grep -q "aggdb.lookups" stats_err.txt
 grep -q "filter.checked" stats_err.txt
 grep -q "read" stats_err.txt
+# every morsel's planned bytes and records, whole-file morsels included
+grep -q "engine.morsel_bytes" stats_err.txt
+grep -q "engine.morsel_records" stats_err.txt
 
 echo "== --stats-json round-trips through --json-input =="
 "$CALI_QUERY" --stats-json self.json -q "AGGREGATE sum(count) GROUP BY kernel
@@ -290,13 +314,9 @@ diff file_in.csv stdin_in.csv || { echo "stdin and file input differ"; exit 1; }
 cat clever-0.cali | "$CALI_STAT" - | grep -q "kernel"
 
 echo "== --no-mmap / CALIB_NO_MMAP: fallback buffer path is identical =="
-"$CALI_QUERY" --no-mmap -t 4 -q "AGGREGATE sum(count),sum(sum#time.duration)
-                  GROUP BY kernel ORDER BY kernel FORMAT csv" clever-*.cali \
-    > nommap.csv
+"$CALI_QUERY" --no-mmap -t 4 -q "$big_q" pdbig/*.cali > nommap.csv
 diff t4.csv nommap.csv || { echo "--no-mmap results differ"; exit 1; }
-CALIB_NO_MMAP=1 "$CALI_QUERY" -t 4 -q "AGGREGATE sum(count),sum(sum#time.duration)
-                  GROUP BY kernel ORDER BY kernel FORMAT csv" clever-*.cali \
-    > nommap_env.csv
+CALIB_NO_MMAP=1 "$CALI_QUERY" -t 4 -q "$big_q" pdbig/*.cali > nommap_env.csv
 diff t4.csv nommap_env.csv || { echo "CALIB_NO_MMAP results differ"; exit 1; }
 
 echo "== --stats: per-worker reader.bytes sums to ~file size =="

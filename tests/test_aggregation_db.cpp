@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace calib;
 using calib::test::find_record;
 
@@ -399,6 +401,30 @@ TEST_F(AggDbTest, ProcessBatchHonorsSelectionVector) {
     db.process_batch(b, odd);
     EXPECT_EQ(db.size(), 5u);
     EXPECT_EQ(db.num_processed(), 5u);
+}
+
+TEST_F(AggDbTest, ProcessBatchGrowsArenasGeometrically) {
+    // a table that grows batch by batch must grow its arenas geometrically:
+    // sizing them to exactly each batch's need reallocates and copies every
+    // arena on every batch, a cost quadratic in the batch count
+    constexpr int kBatches = 200;
+    constexpr int kRows    = 256;
+    AggregationDB db(AggregationConfig::parse("count,sum(t)", "k"), &registry);
+    std::set<std::size_t> footprints;
+    std::vector<SnapshotRecord> snaps;
+    std::vector<std::uint32_t> sel;
+    for (int b = 0; b < kBatches; ++b) {
+        snaps.clear();
+        for (int r = 0; r < kRows; ++r) // every row a new group
+            snaps.push_back(snap({{"k", Variant(b * kRows + r)}, {"t", Variant(1)}}));
+        const RecordBatch batch = batch_of(snaps, sel);
+        db.process_batch(batch, sel);
+        footprints.insert(db.bytes());
+    }
+    EXPECT_EQ(db.size(), std::size_t(kBatches) * kRows);
+    // capacity doubles from one batch to 200: log2(200) + 1 ~ 9 sizes
+    EXPECT_LE(footprints.size(), 10u);
+    EXPECT_GE(footprints.size(), 2u);
 }
 
 // -- sort-spill under a memory budget ------------------------------------------

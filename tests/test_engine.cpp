@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -162,18 +163,155 @@ std::string run_engine(const std::string& query,
     return os.str();
 }
 
+/// Size of \a path in bytes.
+std::uint64_t file_bytes(const std::string& path) {
+    return std::filesystem::file_size(path);
+}
+
+/// The paths of every morsel, one list per morsel.
+std::vector<std::vector<std::string>> morsel_paths(const std::vector<Morsel>& morsels) {
+    std::vector<std::vector<std::string>> out;
+    for (const Morsel& m : morsels)
+        out.push_back(m.paths);
+    return out;
+}
+
 } // namespace
 
 TEST(Morsel, OneMorselPerFileForMultiFileInput) {
     TempDir dir("morsel-multi");
     write_cali(dir.file("a.cali"), 10);
     write_cali(dir.file("b.cali"), 10);
+    write_cali(dir.file("c.cali"), 10);
 
-    auto morsels = make_morsels({dir.file("a.cali"), dir.file("b.cali")}, {});
-    ASSERT_EQ(morsels.size(), 2u);
-    EXPECT_EQ(morsels[0].kind, Morsel::Kind::CaliFile);
-    EXPECT_EQ(morsels[0].path, dir.file("a.cali"));
-    EXPECT_EQ(morsels[1].path, dir.file("b.cali"));
+    MorselOptions opts;
+    opts.bytes_per_morsel = 0; // close a morsel after every file
+    auto morsels = make_morsels(
+        {dir.file("a.cali"), dir.file("b.cali"), dir.file("c.cali")}, opts);
+    ASSERT_EQ(morsels.size(), 3u);
+    EXPECT_EQ(morsels[0].kind, Morsel::Kind::CaliFiles);
+    EXPECT_EQ(morsel_paths(morsels),
+              (std::vector<std::vector<std::string>>{
+                  {dir.file("a.cali")}, {dir.file("b.cali")}, {dir.file("c.cali")}}));
+    EXPECT_EQ(morsels[1].bytes, file_bytes(dir.file("b.cali")));
+}
+
+TEST(Morsel, PacksSmallFilesInInputOrder) {
+    TempDir dir("morsel-pack");
+    std::vector<std::string> files;
+    for (const char* name : {"z.cali", "a.cali", "m.cali"}) {
+        files.push_back(dir.file(name));
+        write_cali(files.back(), 10);
+    }
+    // the default target dwarfs three tiny files: one morsel, input order
+    auto morsels = make_morsels(files, {});
+    ASSERT_EQ(morsels.size(), 1u);
+    EXPECT_EQ(morsels[0].kind, Morsel::Kind::CaliFiles);
+    EXPECT_EQ(morsels[0].paths, files);
+    EXPECT_EQ(morsels[0].bytes,
+              file_bytes(files[0]) + file_bytes(files[1]) + file_bytes(files[2]));
+}
+
+TEST(Morsel, MorselClosesOnceItReachesTheTarget) {
+    TempDir dir("morsel-close");
+    std::vector<std::string> files;
+    for (int f = 0; f < 5; ++f) {
+        files.push_back(dir.file("f" + std::to_string(f) + ".cali"));
+        write_cali(files.back(), 20);
+    }
+    const std::uint64_t size = file_bytes(files[0]);
+    ASSERT_EQ(file_bytes(files[4]), size); // equal-sized files
+
+    MorselOptions opts;
+    opts.bytes_per_morsel = 2 * size; // reached exactly by two files
+    EXPECT_EQ(morsel_paths(make_morsels(files, opts)),
+              (std::vector<std::vector<std::string>>{
+                  {files[0], files[1]}, {files[2], files[3]}, {files[4]}}));
+
+    opts.bytes_per_morsel = 2 * size + 1; // two fall one byte short
+    EXPECT_EQ(morsel_paths(make_morsels(files, opts)),
+              (std::vector<std::vector<std::string>>{{files[0], files[1], files[2]},
+                                                     {files[3], files[4]}}));
+}
+
+TEST(Morsel, FileAboveTheTargetStaysAlone) {
+    TempDir dir("morsel-big");
+    write_cali(dir.file("s0.cali"), 10);
+    write_cali(dir.file("big.cali"), 400);
+    write_cali(dir.file("s1.cali"), 10);
+    write_cali(dir.file("s2.cali"), 10);
+    const std::vector<std::string> files = {dir.file("s0.cali"), dir.file("big.cali"),
+                                            dir.file("s1.cali"), dir.file("s2.cali")};
+    MorselOptions opts;
+    opts.bytes_per_morsel = 4096;
+    ASSERT_GT(file_bytes(dir.file("big.cali")), opts.bytes_per_morsel);
+
+    // the open morsel closes early rather than taking the big file, and a
+    // file in a multi-file input is never split
+    const std::vector<Morsel> morsels = make_morsels(files, opts);
+    EXPECT_EQ(morsel_paths(morsels),
+              (std::vector<std::vector<std::string>>{
+                  {files[0]}, {files[1]}, {files[2], files[3]}}));
+    EXPECT_EQ(morsels[1].kind, Morsel::Kind::CaliFiles);
+    EXPECT_EQ(morsels[1].bytes, file_bytes(files[1]));
+}
+
+TEST(Morsel, FileOfUnknownSizeGetsItsOwnMorsel) {
+    TempDir dir("morsel-unknown");
+    write_cali(dir.file("a.cali"), 10);
+    write_cali(dir.file("b.cali"), 10);
+    // '-' (stdin) and a missing file have no size to plan with; neither
+    // opens nor reads anything at planning time
+    const std::vector<std::string> files = {dir.file("a.cali"), "-",
+                                            dir.file("missing.cali"),
+                                            dir.file("b.cali")};
+    const std::vector<Morsel> morsels = make_morsels(files, {});
+    EXPECT_EQ(morsel_paths(morsels),
+              (std::vector<std::vector<std::string>>{
+                  {files[0]}, {"-"}, {files[2]}, {files[3]}}));
+    EXPECT_EQ(morsels[1].bytes, 0u);
+    EXPECT_EQ(morsels[2].bytes, 0u);
+}
+
+TEST(Morsel, JsonFilesPackLikeCaliFiles) {
+    TempDir dir("morsel-json");
+    std::vector<std::string> files;
+    for (int f = 0; f < 3; ++f) {
+        files.push_back(dir.file("j" + std::to_string(f) + ".json"));
+        std::ofstream(files.back()) << "[{\"kernel\":\"k\",\"count\":1}]";
+    }
+    MorselOptions opts;
+    opts.json_input = true;
+    std::vector<Morsel> morsels = make_morsels(files, opts);
+    ASSERT_EQ(morsels.size(), 1u);
+    EXPECT_EQ(morsels[0].kind, Morsel::Kind::JsonFiles);
+    EXPECT_EQ(morsels[0].paths, files);
+
+    opts.bytes_per_morsel = 2 * file_bytes(files[0]);
+    morsels               = make_morsels(files, opts);
+    EXPECT_EQ(morsel_paths(morsels), (std::vector<std::vector<std::string>>{
+                                         {files[0], files[1]}, {files[2]}}));
+    // a lone JSON file is one morsel too (the array parser cannot skip)
+    opts.bytes_per_morsel = 1;
+    morsels               = make_morsels({files[0]}, opts);
+    ASSERT_EQ(morsels.size(), 1u);
+    EXPECT_EQ(morsels[0].kind, Morsel::Kind::JsonFiles);
+}
+
+TEST(Morsel, MissingFileStillThrows) {
+    TempDir dir("morsel-missing");
+    write_cali(dir.file("a.cali"), 10);
+    write_cali(dir.file("b.cali"), 10);
+    // a lone input is mapped at planning time
+    EXPECT_THROW(make_morsels({dir.file("missing.cali")}, {}), std::runtime_error);
+    // in a multi-file input the missing file is a morsel of its own, and
+    // the error surfaces when that morsel is read
+    EngineOptions opts;
+    opts.threads = 2;
+    ParallelQueryProcessor eng(parse_calql("FORMAT csv"), opts);
+    EXPECT_THROW(
+        eng.run({dir.file("a.cali"), dir.file("missing.cali"), dir.file("b.cali")}),
+        std::runtime_error);
 }
 
 TEST(Morsel, SingleLargeFileSplitsIntoByteRanges) {
@@ -196,6 +334,10 @@ TEST(Morsel, SingleLargeFileSplitsIntoByteRanges) {
     }
     EXPECT_EQ(records, 1000u);
     EXPECT_EQ(morsels[0].source->num_records(), 1000u);
+    std::uint64_t bytes = 0;
+    for (const Morsel& m : morsels)
+        bytes += m.bytes;
+    EXPECT_EQ(bytes, file_bytes(dir.file("big.cali")));
 
     // chunks tile the file with line-aligned splits
     const auto& chunks = morsels[0].source->chunks();
@@ -210,7 +352,8 @@ TEST(Morsel, SmallSingleFileStaysWhole) {
     write_cali(dir.file("small.cali"), 10);
     auto morsels = make_morsels({dir.file("small.cali")}, {});
     ASSERT_EQ(morsels.size(), 1u);
-    EXPECT_EQ(morsels[0].kind, Morsel::Kind::CaliFile);
+    EXPECT_EQ(morsels[0].kind, Morsel::Kind::CaliFiles);
+    EXPECT_EQ(morsels[0].bytes, file_bytes(dir.file("small.cali")));
 }
 
 TEST(Morsel, CountRecords) {
@@ -221,7 +364,8 @@ TEST(Morsel, CountRecords) {
 
 TEST(Morsel, GlobalsAnywhereInFileAreJoined) {
     // a global written after the last record still joins every record:
-    // whole-file morsels, a single unsplit file, and byte-range chunks
+    // a packed morsel of whole files, a single unsplit file, and byte-range
+    // chunks
     TempDir dir("morsel-globals");
     const auto write_late_global = [](const std::string& path, int n,
                                       const char* rank) {
@@ -263,6 +407,37 @@ TEST(Morsel, GlobalsAnywhereInFileAreJoined) {
     EXPECT_EQ(counts_by_rank({dir.file("b.cali")}, opts), b_only);
 }
 
+TEST(Morsel, PackedMorselJoinsEachFilesOwnGlobals) {
+    // every file of a packed morsel keeps its own parser and globals, so
+    // files with different G lines in one morsel keep their own ranks
+    TempDir dir("morsel-packed-globals");
+    std::vector<std::string> files;
+    for (int f = 0; f < 4; ++f) {
+        files.push_back(dir.file("g" + std::to_string(f) + ".cali"));
+        write_cali(files.back(), 30 + 10 * f, 0, std::to_string(f).c_str());
+    }
+    const std::map<std::string, std::uint64_t> want = {
+        {"0", 30}, {"1", 40}, {"2", 50}, {"3", 60}};
+    // all four files in one morsel (the single-morsel path), then two
+    // morsels of two files each (the parallel path)
+    const std::size_t two_files = file_bytes(files[0]) + file_bytes(files[1]);
+    for (const auto& [target, morsels] :
+         {std::pair{default_bytes_per_morsel, std::size_t(1)},
+          std::pair{two_files, std::size_t(2)}}) {
+        EngineOptions opts;
+        opts.threads          = 2;
+        opts.with_globals     = true;
+        opts.bytes_per_morsel = target;
+        ParallelQueryProcessor eng(parse_calql("AGGREGATE count GROUP BY mpi.rank"),
+                                   opts);
+        std::map<std::string, std::uint64_t> got;
+        for (const RecordMap& r : eng.run(files).result())
+            got[r.get("mpi.rank").to_string()] = r.get("count").to_uint();
+        EXPECT_EQ(got, want) << "target " << target;
+        EXPECT_EQ(eng.stats().morsels, morsels) << "target " << target;
+    }
+}
+
 // ------------------------------------------ parallel == serial (byte-exact)
 
 namespace {
@@ -271,18 +446,35 @@ const char* const kFormats[] = {"table", "csv", "json", "expand", "tree"};
 const std::size_t kThreadCounts[] = {2, 4, 8};
 
 /// Assert that \a query over \a files renders identically at 1/2/4/8
-/// threads, and return the serial rendering.
+/// threads, and return the one-worker rendering (its stats in \a stats).
 std::string expect_identical(const std::string& query,
                              const std::vector<std::string>& files,
-                             EngineOptions opts = {}) {
+                             EngineOptions opts = {}, EngineStats* stats = nullptr) {
     opts.threads             = 1;
-    const std::string serial = run_engine(query, files, opts);
+    const std::string serial = run_engine(query, files, opts, stats);
     for (std::size_t t : kThreadCounts) {
         opts.threads = t;
         EXPECT_EQ(serial, run_engine(query, files, opts))
             << "output differs at " << t << " threads for: " << query;
     }
     return serial;
+}
+
+/// expect_identical() under two plans of a multi-file input: one morsel
+/// per file, and a target the first two files reach together, which packs
+/// these tests' files two by two (later files are no smaller than the
+/// first two). Returns the one-morsel-per-file rendering.
+std::string expect_identical_plans(const std::string& query,
+                                   const std::vector<std::string>& files,
+                                   EngineOptions opts = {}) {
+    EngineStats stats;
+    opts.bytes_per_morsel = 0;
+    const std::string out = expect_identical(query, files, opts, &stats);
+    EXPECT_EQ(stats.morsels, files.size()) << query;
+    opts.bytes_per_morsel = file_bytes(files[0]) + file_bytes(files[1]);
+    expect_identical(query, files, opts, &stats);
+    EXPECT_EQ(stats.morsels, (files.size() + 1) / 2) << "packed: " << query;
+    return out;
 }
 
 } // namespace
@@ -295,7 +487,7 @@ TEST(ParallelDifferential, AggregationAcrossFilesAllFormats) {
         write_cali(files.back(), 200, f * 200);
     }
     for (const char* fmt : kFormats) {
-        const std::string out = expect_identical(
+        const std::string out = expect_identical_plans(
             "AGGREGATE sum(count),count GROUP BY kernel FORMAT " +
                 std::string(fmt),
             files);
@@ -321,9 +513,9 @@ TEST(ParallelDifferential, EmptyInput) {
     write_cali(dir.file("e0.cali"), 0);
     write_cali(dir.file("e1.cali"), 0);
     for (const char* fmt : kFormats)
-        expect_identical("AGGREGATE sum(count) GROUP BY kernel FORMAT " +
-                             std::string(fmt),
-                         {dir.file("e0.cali"), dir.file("e1.cali")});
+        expect_identical_plans("AGGREGATE sum(count) GROUP BY kernel FORMAT " +
+                                   std::string(fmt),
+                               {dir.file("e0.cali"), dir.file("e1.cali")});
 }
 
 TEST(ParallelDifferential, SingleRecordInput) {
@@ -331,9 +523,9 @@ TEST(ParallelDifferential, SingleRecordInput) {
     write_cali(dir.file("one.cali"), 1);
     write_cali(dir.file("zero.cali"), 0);
     for (const char* fmt : kFormats)
-        expect_identical("AGGREGATE sum(count) GROUP BY kernel FORMAT " +
-                             std::string(fmt),
-                         {dir.file("one.cali"), dir.file("zero.cali")});
+        expect_identical_plans("AGGREGATE sum(count) GROUP BY kernel FORMAT " +
+                                   std::string(fmt),
+                               {dir.file("one.cali"), dir.file("zero.cali")});
 }
 
 TEST(ParallelDifferential, HighCardinalityGroupByStar) {
@@ -344,7 +536,7 @@ TEST(ParallelDifferential, HighCardinalityGroupByStar) {
         write_cali(files.back(), 250, f * 250); // every record a unique group
     }
     const std::string out =
-        expect_identical("AGGREGATE sum(count) GROUP BY * FORMAT csv", files);
+        expect_identical_plans("AGGREGATE sum(count) GROUP BY * FORMAT csv", files);
     // 4 x 250 unique ids -> 1000 output rows + header
     EXPECT_EQ(static_cast<int>(std::count(out.begin(), out.end(), '\n')), 1001);
 }
@@ -357,8 +549,8 @@ TEST(ParallelDifferential, PassthroughKeepsInputOrder) {
         write_cali(files.back(), 50, f * 50);
     }
     // no aggregation: records must come out in input (morsel) order
-    expect_identical("SELECT kernel,count,id FORMAT csv", files);
-    expect_identical("SELECT kernel,id WHERE count>3 FORMAT csv", files);
+    expect_identical_plans("SELECT kernel,count,id FORMAT csv", files);
+    expect_identical_plans("SELECT kernel,id WHERE count>3 FORMAT csv", files);
 }
 
 TEST(ParallelDifferential, LetFilterOrderLimit) {
@@ -368,10 +560,10 @@ TEST(ParallelDifferential, LetFilterOrderLimit) {
         files.push_back(dir.file("q" + std::to_string(f) + ".cali"));
         write_cali(files.back(), 120, f * 120);
     }
-    expect_identical("LET c2=scale(count,2) AGGREGATE sum(c2),avg(count) "
-                     "WHERE count>1 GROUP BY kernel ORDER BY kernel DESC "
-                     "FORMAT csv LIMIT 3",
-                     files);
+    expect_identical_plans("LET c2=scale(count,2) AGGREGATE sum(c2),avg(count) "
+                           "WHERE count>1 GROUP BY kernel ORDER BY kernel DESC "
+                           "FORMAT csv LIMIT 3",
+                           files);
 }
 
 TEST(ParallelDifferential, WithGlobalsJoin) {
@@ -383,7 +575,7 @@ TEST(ParallelDifferential, WithGlobalsJoin) {
     }
     EngineOptions opts;
     opts.with_globals = true;
-    const std::string out = expect_identical(
+    const std::string out = expect_identical_plans(
         "AGGREGATE sum(count) GROUP BY mpi.rank ORDER BY mpi.rank FORMAT csv",
         files, opts);
     // one group per file-global rank + header
@@ -423,7 +615,7 @@ TEST(ParallelDifferential, ByteMorselsFallbackBufferPath) {
 TEST(ParallelDifferential, JsonInput) {
     TempDir dir("par-json");
     std::vector<std::string> files;
-    for (int f = 0; f < 2; ++f) {
+    for (int f = 0; f < 4; ++f) {
         files.push_back(dir.file("j" + std::to_string(f) + ".json"));
         std::ofstream os(files.back());
         os << "[";
@@ -434,9 +626,9 @@ TEST(ParallelDifferential, JsonInput) {
     }
     EngineOptions opts;
     opts.json_input = true;
-    expect_identical("AGGREGATE sum(count) GROUP BY kernel ORDER BY kernel "
-                     "FORMAT csv",
-                     files, opts);
+    expect_identical_plans("AGGREGATE sum(count) GROUP BY kernel ORDER BY kernel "
+                           "FORMAT csv",
+                           files, opts);
 }
 
 // ---------------------------------------------------------------- early flush
@@ -450,17 +642,21 @@ TEST(EarlyFlush, BoundsPartialsWithoutChangingResults) {
     }
     const std::string query = "AGGREGATE sum(count) GROUP BY * FORMAT csv";
 
+    // one morsel per file: early flushes happen in phase-1 partials
     EngineOptions plain;
     plain.threads            = 1;
+    plain.bytes_per_morsel   = 0;
     const std::string serial = run_engine(query, files, plain);
 
     EngineOptions flushing;
     flushing.threads             = 4;
+    flushing.bytes_per_morsel    = 0;
     flushing.max_partial_entries = 16; // force many flushes
     EngineStats stats;
     const std::string flushed = run_engine(query, files, flushing, &stats);
 
     EXPECT_EQ(serial, flushed);
+    EXPECT_EQ(stats.morsels, 4u);
     EXPECT_GT(stats.early_flushes, 0u);
     EXPECT_GT(stats.early_flush_bytes, 0u);
 }
@@ -474,10 +670,12 @@ TEST(EarlyFlush, RecordCountsSurviveFlushing) {
     }
     EngineOptions opts;
     opts.threads             = 2;
+    opts.bytes_per_morsel    = 0; // one morsel per file
     opts.max_partial_entries = 8;
     ParallelQueryProcessor eng(
         parse_calql("AGGREGATE count GROUP BY * FORMAT csv"), opts);
     QueryProcessor& proc = eng.run(files);
+    EXPECT_GT(eng.stats().early_flushes, 0u);
     EXPECT_EQ(proc.num_records_in(), 400u);
     EXPECT_EQ(proc.num_records_kept(), 400u);
     EXPECT_EQ(proc.result().size(), 400u); // unique ids -> 1 row per record
@@ -493,12 +691,20 @@ TEST(EngineStats, ReportsThreadsAndMorsels) {
         write_cali(files.back(), 20, f * 20);
     }
     EngineOptions opts;
-    opts.threads = 8;
+    opts.threads          = 8;
+    opts.bytes_per_morsel = 0; // one morsel per file
     EngineStats stats;
     run_engine("AGGREGATE sum(count) GROUP BY kernel FORMAT csv", files, opts,
                &stats);
     EXPECT_EQ(stats.morsels, 3u);
     EXPECT_EQ(stats.threads, 3u); // clamped to the morsel count
+
+    // the default target packs the three small files into one morsel
+    opts.bytes_per_morsel = default_bytes_per_morsel;
+    run_engine("AGGREGATE sum(count) GROUP BY kernel FORMAT csv", files, opts,
+               &stats);
+    EXPECT_EQ(stats.morsels, 1u);
+    EXPECT_EQ(stats.threads, 1u);
 }
 
 TEST(EngineStats, WorkerErrorsPropagateToCaller) {
@@ -525,9 +731,12 @@ TEST(BatchedExecution, OneRowBatchesMatchEveryBatchSize) {
         "GROUP BY kernel ORDER BY kernel FORMAT csv";
 
     EngineOptions opts;
-    opts.threads    = 1;
-    opts.batch_size = 1;
-    const std::string one_row = run_engine(query, files, opts);
+    opts.threads          = 1;
+    opts.batch_size       = 1;
+    opts.bytes_per_morsel = 0; // one morsel per file
+    EngineStats stats;
+    const std::string one_row = run_engine(query, files, opts, &stats);
+    EXPECT_EQ(stats.morsels, 3u);
 
     for (std::size_t bs : {std::size_t(7), std::size_t(1024)}) {
         opts.batch_size = bs;
@@ -563,10 +772,13 @@ TEST(BatchedExecution, WithGlobalsMatchesOneRowBatches) {
         "AGGREGATE sum(count) GROUP BY kernel,mpi.rank ORDER BY mpi.rank,kernel "
         "FORMAT csv";
     EngineOptions opts;
-    opts.with_globals = true;
-    opts.threads      = 1;
-    opts.batch_size   = 1;
-    const std::string one_row = run_engine(query, files, opts);
+    opts.with_globals     = true;
+    opts.threads          = 1;
+    opts.batch_size       = 1;
+    opts.bytes_per_morsel = 0; // one morsel per file
+    EngineStats stats;
+    const std::string one_row = run_engine(query, files, opts, &stats);
+    EXPECT_EQ(stats.morsels, 2u);
     opts.batch_size = 0; // default
     EXPECT_EQ(one_row, run_engine(query, files, opts));
     EXPECT_NE(one_row.find("advec"), std::string::npos);
@@ -629,7 +841,8 @@ const MergeStrategy kStrategies[] = {MergeStrategy::Pairwise,
 
 /// High-cardinality multi-file input: 4 files x 250 unique ids, plus the
 /// shared low-cardinality kernel key and fractional averages so the radix
-/// partition assembly is exercised on floating-point states too.
+/// partition assembly is exercised on floating-point states too. Tests
+/// run it at bytes_per_morsel 0 (four morsels) unless they say otherwise.
 std::vector<std::string> write_strategy_input(TempDir& dir) {
     std::vector<std::string> files;
     for (int f = 0; f < 4; ++f) {
@@ -650,19 +863,28 @@ TEST(MergeStrategies, AllStrategiesByteIdenticalAcrossThreadCounts) {
                  "ORDER BY kernel FORMAT csv",
         "AGGREGATE min(id),max(id) GROUP BY * FORMAT csv",
     };
-    for (const char* query : queries) {
-        EngineOptions base;
-        base.threads             = 1;
-        base.merge_strategy      = MergeStrategy::Pairwise;
-        const std::string serial = run_engine(query, files, base);
-        for (MergeStrategy s : kStrategies) {
-            EngineOptions opts;
-            opts.merge_strategy = s;
-            for (std::size_t t : {std::size_t(1), std::size_t(2),
-                                  std::size_t(4), std::size_t(8)}) {
-                opts.threads = t;
-                EXPECT_EQ(serial, run_engine(query, files, opts))
-                    << merge_strategy_name(s) << " t" << t << ": " << query;
+    // one morsel per file, and two morsels of two files each
+    const std::size_t two_files = file_bytes(files[0]) + file_bytes(files[1]);
+    for (const auto& [target, morsels] : {std::pair{std::size_t(0), std::size_t(4)},
+                                          std::pair{two_files, std::size_t(2)}}) {
+        for (const char* query : queries) {
+            EngineOptions base;
+            base.threads          = 1;
+            base.merge_strategy   = MergeStrategy::Pairwise;
+            base.bytes_per_morsel = target;
+            EngineStats stats;
+            const std::string serial = run_engine(query, files, base, &stats);
+            EXPECT_EQ(stats.morsels, morsels) << "target " << target;
+            for (MergeStrategy s : kStrategies) {
+                EngineOptions opts  = base;
+                opts.merge_strategy = s;
+                for (std::size_t t : {std::size_t(1), std::size_t(2),
+                                      std::size_t(4), std::size_t(8)}) {
+                    opts.threads = t;
+                    EXPECT_EQ(serial, run_engine(query, files, opts))
+                        << merge_strategy_name(s) << " t" << t << " target "
+                        << target << ": " << query;
+                }
             }
         }
     }
@@ -677,10 +899,12 @@ TEST(MergeStrategies, EarlyFlushByteIdenticalForEveryStrategy) {
     EngineOptions base;
     base.threads             = 1;
     base.merge_strategy      = MergeStrategy::Pairwise;
+    base.bytes_per_morsel    = 0;
     const std::string serial = run_engine(query, files, base);
 
     for (MergeStrategy s : kStrategies) {
         EngineOptions opts;
+        opts.bytes_per_morsel    = 0;
         opts.merge_strategy      = s;
         opts.max_partial_entries = 64; // force many flush buffers
         for (std::size_t t : {std::size_t(2), std::size_t(4)}) {
@@ -699,7 +923,8 @@ TEST(MergeStrategies, StatsReportExecutedStrategyAndPartitions) {
     const std::string query = "AGGREGATE sum(count) GROUP BY id FORMAT csv";
 
     EngineOptions opts;
-    opts.threads = 4;
+    opts.threads          = 4;
+    opts.bytes_per_morsel = 0;
     EngineStats stats;
 
     opts.merge_strategy = MergeStrategy::Pairwise;
@@ -730,6 +955,7 @@ TEST(MergeStrategies, AdaptiveSelectorPicksByCardinality) {
     // 1000 groups: above a tiny radix threshold -> radix
     EngineOptions opts;
     opts.threads             = 4;
+    opts.bytes_per_morsel    = 0;
     opts.merge_strategy      = MergeStrategy::Adaptive;
     opts.merge_small_entries = 16; // 1000 groups is not "small"
     opts.merge_radix_entries = 64;
@@ -764,8 +990,9 @@ TEST(MergeStrategies, NonAggregationQueriesNeverUseRadix) {
     TempDir dir("merge-passthru");
     const std::vector<std::string> files = write_strategy_input(dir);
     EngineOptions opts;
-    opts.threads        = 4;
-    opts.merge_strategy = MergeStrategy::Radix; // demoted: no aggregation DB
+    opts.threads          = 4;
+    opts.bytes_per_morsel = 0;
+    opts.merge_strategy   = MergeStrategy::Radix; // demoted: no aggregation DB
     EngineStats stats;
     const std::string out =
         run_engine("SELECT kernel,id FORMAT csv", files, opts, &stats);
@@ -788,6 +1015,7 @@ TEST(MergeStrategies, SpillBudgetStaysThreadCountDeterministic) {
         EngineOptions opts;
         opts.merge_strategy    = s;
         opts.agg_memory_budget = 1; // clamps to the 16-entry floor
+        opts.bytes_per_morsel  = 0;
         opts.threads           = 1;
         const std::string t1 = run_engine(query, files, opts);
         for (std::size_t t : kThreadCounts) {

@@ -457,9 +457,11 @@ TEST(WindowEngine, ByteIdenticalAcrossThreadsStrategiesAndBatchSizes) {
         "AGGREGATE count,sum(v),avg(v) WINDOW 3ms SLIDE 500us "
         "GROUP BY kernel FORMAT csv";
 
+    // one morsel per file, so the pane rings go through phase 2
     engine::EngineOptions base;
     base.threads            = 1;
     base.merge_strategy     = engine::MergeStrategy::Pairwise;
+    base.bytes_per_morsel   = 0;
     const std::string golden = run_engine(query, files, base);
     ASSERT_FALSE(golden.empty());
 
@@ -468,7 +470,7 @@ TEST(WindowEngine, ByteIdenticalAcrossThreadsStrategiesAndBatchSizes) {
              {engine::MergeStrategy::Pairwise, engine::MergeStrategy::Tree,
               engine::MergeStrategy::Radix}) {
             for (const std::size_t batch : {1u, 7u, 64u}) {
-                engine::EngineOptions opts;
+                engine::EngineOptions opts = base;
                 opts.threads        = threads;
                 opts.merge_strategy = strategy;
                 opts.batch_size     = batch;
@@ -493,9 +495,10 @@ TEST(WindowEngine, EarlyFlushKeepsWindowSemantics) {
 
     engine::EngineOptions base;
     base.threads             = 1;
+    base.bytes_per_morsel    = 0; // one morsel per file
     const std::string golden = run_engine(query, files, base);
 
-    engine::EngineOptions flushy;
+    engine::EngineOptions flushy = base;
     flushy.threads             = 4;
     flushy.max_partial_entries = 2; // force early flushes constantly
     EXPECT_EQ(run_engine(query, files, flushy), golden);
