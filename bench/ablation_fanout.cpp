@@ -33,9 +33,8 @@ int main() {
         // best of 5: the modeled cost is deterministic; min removes noise
         simmpi::QueryTimes best{};
         for (int rep = 0; rep < 5; ++rep) {
-            const simmpi::QueryTimes t =
-                simmpi::modeled_query_kary(spec, files[0], nprocs,
-                                           simmpi::NetModel{}, fanout);
+            const simmpi::QueryTimes t = simmpi::modeled_query(
+                spec, files[0], nprocs, simmpi::NetModel{}, 1, nullptr, fanout);
             if (rep == 0 || t.reduce_s < best.reduce_s)
                 best = t;
         }

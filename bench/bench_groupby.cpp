@@ -1,5 +1,5 @@
 // Phase-2 merge-strategy study: GROUP BY key-cardinality sweep across the
-// pairwise / tree / radix / adaptive merge strategies (src/engine/
+// pairwise / radix / adaptive merge strategies (src/engine/
 // merge_strategy.hpp). For each key distribution (uniform, zipfian s=1.1,
 // heavy-hitter) and nominal cardinality the bench runs the full engine at a
 // fixed thread count and records the phase-2 merge wall time
@@ -8,7 +8,7 @@
 // (the query has no ORDER BY or LIMIT, so that is the full canonical sort
 // of every group). Output bytes are asserted identical across strategies —
 // the byte-identity contract is what makes the strategy a pure performance
-// knob.
+// choice. Each strategy is forced through EngineOptions::merge_strategy.
 //
 // The interesting read is the crossover: pairwise wins at low cardinality
 // (partition setup cost dominates), radix wins once the monolithic group
@@ -26,7 +26,6 @@
 //   CALIB_BENCH_GB_REPS      repetitions (best is kept) (default 2)
 //   CALIB_BENCH_GB_KEYS      comma-separated cardinality sweep
 //                            (default 1000,16000,160000,640000)
-//   CALIB_BENCH_GB_BITS      merge_radix_bits override (0 = engine default)
 #include "bench_common.hpp"
 #include "engine/parallel_processor.hpp"
 #include "io/caliwriter.hpp"
@@ -119,13 +118,13 @@ struct Measured {
     double result_ms = 0;
     double wall_s    = 0;
     std::size_t groups = 0;
-    engine::MergeStrategy executed = engine::MergeStrategy::Default;
+    engine::MergeStrategy executed = engine::MergeStrategy::Adaptive;
     std::string output;
 };
 
 Measured run_strategy(const QuerySpec& spec, const std::vector<std::string>& files,
                       engine::MergeStrategy strategy, std::size_t threads,
-                      int reps, unsigned radix_bits) {
+                      int reps) {
     Measured best;
     for (int rep = 0; rep < reps; ++rep) {
         engine::EngineOptions opts;
@@ -134,8 +133,6 @@ Measured run_strategy(const QuerySpec& spec, const std::vector<std::string>& fil
         // one morsel per file: the ~1.2 MB files would pack in pairs at the
         // default target, and the groupby/* gates measure the 16-morsel DAG
         opts.bytes_per_morsel = 0;
-        if (radix_bits != 0)
-            opts.merge_radix_bits = radix_bits;
         engine::ParallelQueryProcessor eng(spec, opts);
         const std::uint64_t t0 = now_ns();
         QueryProcessor& proc   = eng.run(files);
@@ -173,8 +170,6 @@ int main() {
     const std::size_t threads =
         static_cast<std::size_t>(env_int("CALIB_BENCH_GB_THREADS", 4));
     const int reps = env_int("CALIB_BENCH_GB_REPS", 2);
-    const auto radix_bits =
-        static_cast<unsigned>(env_int("CALIB_BENCH_GB_BITS", 0));
     const std::string dir =
         (std::filesystem::temp_directory_path() / "calib-bench-gb-data").string();
 
@@ -192,9 +187,9 @@ int main() {
                 cardinalities.push_back(
                     static_cast<std::size_t>(std::stoull(tok)));
     }
-    const engine::MergeStrategy strategies[] = {
-        engine::MergeStrategy::Pairwise, engine::MergeStrategy::Tree,
-        engine::MergeStrategy::Radix, engine::MergeStrategy::Adaptive};
+    const engine::MergeStrategy strategies[] = {engine::MergeStrategy::Pairwise,
+                                                engine::MergeStrategy::Radix,
+                                                engine::MergeStrategy::Adaptive};
 
     std::printf("# groupby merge-strategy sweep: %d files x %d records, "
                 "%zu threads, %d reps\n",
@@ -223,8 +218,7 @@ int main() {
             double pairwise_ms = 0;
             std::string reference;
             for (engine::MergeStrategy s : strategies) {
-                const Measured m =
-                    run_strategy(spec, files, s, threads, reps, radix_bits);
+                const Measured m = run_strategy(spec, files, s, threads, reps);
                 if (s == engine::MergeStrategy::Pairwise) {
                     pairwise_ms = m.merge_ms;
                     reference   = m.output;

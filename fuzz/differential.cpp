@@ -102,8 +102,7 @@ EngineRun run_engine(const QuerySpec& spec, const std::string& path,
             opts.max_partial_entries = flush_limit;
         opts.batch_size = batch_size;
         // explicit (not the SIZE_MAX sentinel), so CALIB_AGG_MEM in the
-        // environment cannot perturb fuzz determinism; same for the merge
-        // strategy vs CALIB_MERGE_STRATEGY
+        // environment cannot perturb fuzz determinism
         opts.agg_memory_budget = memory_budget;
         opts.merge_strategy    = strategy;
         engine::ParallelQueryProcessor engine(spec, opts);
@@ -254,8 +253,7 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     // share the case's morsel and flush plan — the flush plan fixes the
     // reduction DAG, the strategy must not.
     for (engine::MergeStrategy strategy :
-         {engine::MergeStrategy::Pairwise, engine::MergeStrategy::Tree,
-          engine::MergeStrategy::Radix})
+         {engine::MergeStrategy::Pairwise, engine::MergeStrategy::Radix})
         for (std::size_t threads :
              {std::size_t(1), std::size_t(2), std::size_t(4)})
             runs.push_back(run_engine(spec, input.path(), threads,

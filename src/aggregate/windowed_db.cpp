@@ -171,25 +171,6 @@ void WindowedAggregator::merge_serialized(std::span<const std::byte> data) {
     retire_expired();
 }
 
-std::size_t
-WindowedAggregator::serialized_entry_count(std::span<const std::byte> data) {
-    ByteReader r(data);
-    if (r.get<std::uint32_t>() != window_magic)
-        throw std::runtime_error("WindowedAggregator: bad buffer magic");
-    r.get<std::uint8_t>();  // has-watermark flag
-    r.get<std::int64_t>();  // watermark
-    r.get<std::uint64_t>(); // dropped_late
-    r.get<std::uint64_t>(); // dropped_no_time
-    const auto npanes = r.get<std::uint32_t>();
-    std::size_t n     = 0;
-    for (std::uint32_t i = 0; i < npanes; ++i) {
-        r.get<std::int64_t>(); // pane index
-        const auto len = static_cast<std::size_t>(r.get<std::uint64_t>());
-        n += AggregationDB::serialized_entry_count(r.get_bytes(len));
-    }
-    return n;
-}
-
 void WindowedAggregator::clear() {
     panes_.clear();
     dropped_late_ = dropped_no_time_ = 0;

@@ -73,11 +73,6 @@ public:
     std::vector<std::byte> serialize() const;
     void merge_serialized(std::span<const std::byte> data);
 
-    /// Total entry count recorded in a serialize() buffer (the windowed
-    /// counterpart of AggregationDB::serialized_entry_count; the engine's
-    /// adaptive merge selector sizes early-flushed partials with it).
-    static std::size_t serialized_entry_count(std::span<const std::byte> data);
-
     /// Drop all pane contents and the drop counters (they travel inside
     /// serialize() buffers, like AggregationDB's record count). The
     /// watermark stays: records older than an already-retired pane must

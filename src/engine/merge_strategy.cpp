@@ -1,91 +1,57 @@
 #include "merge_strategy.hpp"
 
-#include "../common/log.hpp"
-#include "../common/util.hpp"
-
-#include <cstdlib>
-
 namespace calib::engine {
 
 namespace {
 
-MergeStrategy g_default = MergeStrategy::Default; // Default = env fallback
+/// \a n with thousands separators: 65536 -> "65,536".
+std::string grouped(std::size_t n) {
+    const std::string digits = std::to_string(n);
+    std::string out;
+    for (std::size_t i = 0; i < digits.size(); ++i) {
+        if (i != 0 && (digits.size() - i) % 3 == 0)
+            out += ',';
+        out += digits[i];
+    }
+    return out;
+}
 
 } // namespace
 
 const char* merge_strategy_name(MergeStrategy s) noexcept {
     switch (s) {
-    case MergeStrategy::Adaptive: return "adaptive";
     case MergeStrategy::Pairwise: return "pairwise";
-    case MergeStrategy::Tree:     return "tree";
     case MergeStrategy::Radix:    return "radix";
-    case MergeStrategy::Default:  break;
+    case MergeStrategy::Adaptive: break;
     }
-    return "default";
-}
-
-bool parse_merge_strategy(std::string_view name, MergeStrategy& out) noexcept {
-    if (name == "adaptive" || name == "auto")
-        out = MergeStrategy::Adaptive;
-    else if (name == "pairwise" || name == "serial")
-        out = MergeStrategy::Pairwise;
-    else if (name == "tree")
-        out = MergeStrategy::Tree;
-    else if (name == "radix")
-        out = MergeStrategy::Radix;
-    else
-        return false;
-    return true;
+    return "adaptive";
 }
 
 int merge_strategy_code(MergeStrategy s) noexcept {
     switch (s) {
     case MergeStrategy::Pairwise: return 1;
-    case MergeStrategy::Tree:     return 2;
     case MergeStrategy::Radix:    return 3;
-    default:                      return 0;
+    case MergeStrategy::Adaptive: break;
     }
+    return 0;
 }
 
-MergeStrategy default_merge_strategy() {
-    if (g_default != MergeStrategy::Default)
-        return g_default;
-    static const MergeStrategy env = [] {
-        MergeStrategy s = MergeStrategy::Adaptive;
-        if (const char* v = std::getenv("CALIB_MERGE_STRATEGY")) {
-            if (!parse_merge_strategy(v, s))
-                log_warn() << "CALIB_MERGE_STRATEGY='" << v
-                           << "' is not a merge strategy "
-                              "(adaptive|pairwise|tree|radix); using adaptive";
-        }
-        return s;
-    }();
-    return env;
-}
-
-void set_default_merge_strategy(MergeStrategy s) {
-    g_default = s;
-}
-
-MergeTuning default_merge_tuning() {
-    static const MergeTuning env = [] {
-        MergeTuning t;
-        t.small_entries = util::env_size("CALIB_MERGE_SMALL", t.small_entries);
-        t.radix_entries = util::env_size("CALIB_MERGE_RADIX_MIN", t.radix_entries);
-        return t;
-    }();
-    return env;
-}
-
-MergeStrategy select_merge_strategy(const MergeObservation& obs,
-                                    const MergeTuning& tuning) noexcept {
-    if (!obs.has_aggregation)
-        return obs.partials >= 8 ? MergeStrategy::Tree : MergeStrategy::Pairwise;
-    if (obs.total_entries <= tuning.small_entries)
-        return MergeStrategy::Pairwise;
-    if (obs.flush_buffers > 0 || obs.total_entries >= tuning.radix_entries)
+MergeStrategy select_merge_strategy(const MergeObservation& obs) noexcept {
+    if (obs.has_aggregation &&
+        (obs.flush_buffers > 0 || obs.total_entries >= radix_min_entries))
         return MergeStrategy::Radix;
-    return MergeStrategy::Tree;
+    return MergeStrategy::Pairwise;
+}
+
+std::string merge_strategy_reason(const MergeObservation& obs) {
+    if (!obs.has_aggregation)
+        return "passthrough or windowed query";
+    if (obs.flush_buffers > 0 && obs.total_entries < radix_min_entries)
+        return grouped(obs.flush_buffers) +
+               (obs.flush_buffers == 1 ? " early flush" : " early flushes");
+    return grouped(obs.total_entries) + " partial entries " +
+           (obs.total_entries < radix_min_entries ? "< " : ">= ") +
+           grouped(radix_min_entries);
 }
 
 } // namespace calib::engine

@@ -1,96 +1,85 @@
 // Phase-2 merge strategies for the parallel query engine.
 //
 // Phase 1 produces one partial QueryProcessor per morsel; phase 2 folds
-// them into the root. Three strategies realize the *same* per-key
-// floating-point reduction DAG (the stride-doubling tree over morsel
-// indices, then early-flush buffers in (morsel, flush-sequence) order),
-// so their output bytes are identical — they differ only in how the work
-// is scheduled:
+// them into the root. Both strategies realize the *same* per-key
+// floating-point reduction DAG (fold_stride_doubling over morsel indices,
+// then early-flush buffers in (morsel, flush-sequence) order), so their
+// output bytes are identical — they differ only in how the work is
+// scheduled:
 //
 //   pairwise  the stride merges run serially on the driver thread. No
 //             task overhead; best for small group counts.
-//   tree      each level's independent merges run as ThreadPool tasks
-//             with a barrier per level (the historical default).
-//   radix     every partial is split by key-hash radix into P fixed
-//             partitions; the P partition folds are independent pool
-//             tasks (each folding its pieces in the same stride-doubling
-//             worker-index order), and the driver concatenates the
-//             disjoint partition results in partition order. Parallelism
-//             is per-partition instead of per-level, and each partition's
-//             hash table is ~1/P the size — cache-resident at high
-//             cardinality where a monolithic table thrashes.
+//   radix     every partial is split by key-hash radix into 16 fixed
+//             partitions; the partition folds are independent pool tasks
+//             (each folding its pieces in the same stride-doubling order),
+//             and the driver concatenates the disjoint partition results
+//             in partition order. Each partition's hash table is ~1/16 the
+//             size — cache-resident at high cardinality where a monolithic
+//             table thrashes.
 //
 // The adaptive selector picks one per query from cardinality observed at
-// the end of phase 1. Its inputs (morsel count, per-partial entry counts,
-// flush counts) are functions of the input set only — never the thread
-// count — so the choice, like the strategies themselves, cannot perturb
-// output bytes. docs/ENGINE.md has the full determinism argument.
+// the end of phase 1. Its inputs (per-partial entry counts, flush counts)
+// are functions of the input set only — never the thread count — so the
+// choice, like the strategies themselves, cannot perturb output bytes.
+// docs/ENGINE.md has the full determinism argument.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
+#include <string>
 
 namespace calib::engine {
 
 enum class MergeStrategy : std::uint8_t {
-    Default = 0, ///< resolve via default_merge_strategy() (env or adaptive)
-    Adaptive,    ///< select per query from phase-1 cardinality
-    Pairwise,    ///< serial stride-doubling fold on the driver
-    Tree,        ///< stride-doubling fold, level merges as pool tasks
-    Radix,       ///< hash-partitioned parallel fold + ordered concatenation
+    /// Select per query from phase-1 cardinality (select_merge_strategy).
+    /// As an EngineStats value: no merge phase ran.
+    Adaptive = 0,
+    Pairwise, ///< serial stride-doubling fold on the driver
+    Radix,    ///< hash-partitioned parallel fold + ordered concatenation
 };
 
-/// Lower-case name ("adaptive", "pairwise", "tree", "radix").
+/// The selector picks radix for an aggregation whose partials hold at
+/// least this many entries in total (live plus early-flushed).
+constexpr std::size_t radix_min_entries = std::size_t(1) << 16;
+
+/// The one phase-2 fold schedule: a stride-doubling tree over \a n
+/// partials (at stride s, partial i+s merges into partial i, for
+/// s = 1, 2, 4, ...). Every strategy folds through this function — the
+/// pairwise strategy over whole partials, radix over each partition's
+/// pieces — so every key sees the same sequence of merges.
+template <class Merge>
+void fold_stride_doubling(std::size_t n, Merge&& merge) {
+    for (std::size_t stride = 1; stride < n; stride *= 2)
+        for (std::size_t i = 0; i + stride < n; i += 2 * stride)
+            merge(i, i + stride);
+}
+
+/// Lower-case name ("adaptive", "pairwise", "radix").
 const char* merge_strategy_name(MergeStrategy s) noexcept;
 
-/// Parse a strategy name (as accepted by --merge-strategy /
-/// CALIB_MERGE_STRATEGY). Returns false on an unknown name.
-bool parse_merge_strategy(std::string_view name, MergeStrategy& out) noexcept;
-
 /// Stable numeric code for the engine.merge_strategy gauge:
-/// 0 none/serial, 1 pairwise, 2 tree, 3 radix.
+/// 0 none/serial, 1 pairwise, 3 radix (code 2 is retired).
 int merge_strategy_code(MergeStrategy s) noexcept;
-
-/// Process-wide default used when EngineOptions::merge_strategy is
-/// Default: the last set_default_merge_strategy() value, else
-/// CALIB_MERGE_STRATEGY, else Adaptive. (mpi-caliquery plumbs its
-/// --merge-strategy through this, like set_default_batch_size.)
-MergeStrategy default_merge_strategy();
-/// Override the process-wide default (Default restores the env fallback).
-void set_default_merge_strategy(MergeStrategy s);
 
 /// What phase 1 observed, fed to the adaptive selector. Every field is a
 /// deterministic function of the input set (morsel plan + records), never
 /// of the thread count — see the determinism note above.
 struct MergeObservation {
-    std::size_t partials        = 0; ///< morsel count (= partial count)
-    bool has_aggregation        = false;
-    std::size_t total_entries   = 0; ///< live + early-flushed entries, summed
-    std::size_t max_entries     = 0; ///< largest single partial (live+flushed)
-    std::size_t flush_buffers   = 0; ///< early-flush buffers across partials
+    bool has_aggregation      = false; ///< a plain (unwindowed) group table
+    std::size_t total_entries = 0;     ///< live + early-flushed entries, summed
+    std::size_t flush_buffers = 0;     ///< early-flush buffers across partials
 };
 
-/// Selector thresholds (see docs/ENGINE.md "Tuning the selector").
-struct MergeTuning {
-    /// At or below this many total observed groups the merge is trivial:
-    /// stay pairwise and skip task overhead.
-    std::size_t small_entries = 4096;
-    /// At or above this many total observed groups (or when any partial
-    /// early-flushed, which means cardinality already blew the partial
-    /// bound) the monolithic fold is cache-bound: go radix.
-    std::size_t radix_entries = std::size_t(1) << 16;
-};
+/// The adaptive policy: radix when the query aggregates and its partials
+/// hold at least radix_min_entries entries in total, or when any partial
+/// early-flushed (cardinality already blew the partial bound); pairwise
+/// otherwise. Passthrough and windowed queries have no group table to
+/// partition, so they always fold pairwise.
+MergeStrategy select_merge_strategy(const MergeObservation& obs) noexcept;
 
-/// Resolve the MergeTuning defaults, honoring CALIB_MERGE_SMALL and
-/// CALIB_MERGE_RADIX_MIN when set.
-MergeTuning default_merge_tuning();
-
-/// The adaptive policy: pairwise below small_entries, radix at or above
-/// radix_entries (or after any early flush), tree in between. Queries
-/// without aggregation have nothing to partition: pairwise for few
-/// partials, tree otherwise.
-MergeStrategy select_merge_strategy(const MergeObservation& obs,
-                                    const MergeTuning& tuning) noexcept;
+/// Why select_merge_strategy() decides as it does on \a obs, as
+/// `cali-query -s` prints it: "26,815 partial entries < 65,536",
+/// "3 early flushes" or "passthrough or windowed query".
+std::string merge_strategy_reason(const MergeObservation& obs);
 
 } // namespace calib::engine

@@ -23,9 +23,11 @@ namespace {
 obs::Histogram engine_morsel_records("engine.morsel_records");
 obs::Counter engine_early_flushes("engine.early_flushes");
 obs::Counter engine_early_flush_bytes("engine.early_flush_bytes");
-// last run's phase-2 profile: strategy code (0 none, 1 pairwise, 2 tree,
-// 3 radix), radix partition count, and merge wall time in milliseconds
+// last run's phase-2 profile: strategy code (0 none, 1 pairwise, 3 radix),
+// the entry total the selector saw, radix partition count, and merge wall
+// time in milliseconds
 obs::Gauge engine_merge_strategy("engine.merge_strategy");
+obs::Gauge engine_merge_entries("engine.merge_entries");
 obs::Gauge engine_merge_partitions("engine.merge_partitions");
 obs::Gauge engine_merge_ms("engine.merge_ms");
 // per-partition fold spans (radix): visible in --stats and as --trace-json
@@ -33,6 +35,9 @@ obs::Gauge engine_merge_ms("engine.merge_ms");
 obs::Timer merge_partition_time("merge.partition");
 
 constexpr std::size_t max_batch_rows = std::size_t(1) << 20;
+
+// the radix merge splits into 2^4 = 16 partitions
+constexpr unsigned radix_bits = 4;
 
 std::size_t clamp_batch_size(std::size_t rows) {
     return rows == 0 ? 1 : std::min(rows, max_batch_rows);
@@ -114,35 +119,10 @@ void read_morsel(const Morsel& m, AttributeRegistry& registry, std::size_t batch
 /// Per-morsel partial state produced in phase 1.
 struct Partial {
     std::unique_ptr<QueryProcessor> proc;
-    /// Early-flushed aggregation buffers, in flush order.
+    /// Early-flushed aggregation buffers, in flush order. They stay in
+    /// memory until phase 2 folds them in.
     std::vector<std::vector<std::byte>> flushed;
 };
-
-/// The canonical phase-2 fold: a stride-doubling tree over morsel indices
-/// (merge neighbor i+stride into i). Every strategy executes exactly this
-/// per-key merge order; they differ only in scheduling, so output bytes
-/// are strategy-invariant. Here: serially, on the driver.
-void fold_pairwise(std::vector<Partial>& partials) {
-    const std::size_t n = partials.size();
-    for (std::size_t stride = 1; stride < n; stride *= 2)
-        for (std::size_t i = 0; i + stride < n; i += 2 * stride)
-            partials[i].proc->merge(std::move(*partials[i + stride].proc));
-}
-
-/// The same fold with each level's independent merges as pool tasks and a
-/// barrier per level.
-void fold_tree(std::vector<Partial>& partials, ThreadPool& pool) {
-    const std::size_t n = partials.size();
-    for (std::size_t stride = 1; stride < n; stride *= 2) {
-        std::vector<std::future<void>> level;
-        for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
-            level.push_back(pool.submit([&a = partials[i], &b = partials[i + stride]] {
-                a.proc->merge(std::move(*b.proc));
-            }));
-        }
-        wait_all(level);
-    }
-}
 
 } // namespace
 
@@ -178,8 +158,8 @@ ParallelQueryProcessor::ParallelQueryProcessor(QuerySpec spec, EngineOptions opt
     if (opts_.agg_memory_budget == static_cast<std::size_t>(-1))
         opts_.agg_memory_budget = default_agg_memory_budget();
     // the budget lives on the root processor: worker partials drain into it
-    // unspilled (early flush bounds their memory), and the root's sort-spill
-    // bounds the merged group table
+    // unspilled (early flush caps their live tables, not the buffers they
+    // hold), and the root's sort-spill bounds the merged group table
     if (opts_.agg_memory_budget != 0)
         root_.set_aggregation_memory_budget(opts_.agg_memory_budget);
 }
@@ -269,57 +249,46 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
     wait_all(futures);
     process_phase.reset();
 
+    // what phase 1 observed, for the stats and the strategy selector (only
+    // a plain group table's entries count: nothing else can go radix)
+    MergeObservation mobs;
+    mobs.has_aggregation = root_.aggregation_db() != nullptr;
     for (const Partial& p : partials) {
         engine_morsel_records.record(p.proc->num_records_in());
-        stats_.early_flushes += p.flushed.size();
-        for (const std::vector<std::byte>& buf : p.flushed)
+        if (mobs.has_aggregation)
+            mobs.total_entries += p.proc->aggregation_entries();
+        for (const std::vector<std::byte>& buf : p.flushed) {
             stats_.early_flush_bytes += buf.size();
+            if (mobs.has_aggregation)
+                mobs.total_entries += AggregationDB::serialized_entry_count(buf);
+        }
+        stats_.early_flushes += p.flushed.size();
     }
+    mobs.flush_buffers = stats_.early_flushes;
     engine_early_flushes.add(stats_.early_flushes);
     engine_early_flush_bytes.add(stats_.early_flush_bytes);
 
     // phase 2: pick a merge strategy from what phase 1 observed, then fold
-    // the partials into the root. Every strategy realizes the same per-key
-    // reduction DAG — the stride-doubling tree over morsel indices (which
-    // keeps passthrough records in morsel order and depends only on the
-    // morsel count, never the thread count), with early-flush buffers
-    // folded in (morsel, flush-sequence) order — so output bytes are
-    // identical across strategies; only the schedule differs.
-    MergeObservation mobs;
-    mobs.partials        = n;
-    mobs.has_aggregation = root_.aggregation_db() != nullptr;
-    for (const Partial& p : partials) {
-        std::size_t own = p.proc->aggregation_entries();
-        for (const std::vector<std::byte>& buf : p.flushed)
-            own += root_.windowed_db()
-                       ? WindowedAggregator::serialized_entry_count(buf)
-                       : AggregationDB::serialized_entry_count(buf);
-        mobs.total_entries += own;
-        mobs.max_entries = std::max(mobs.max_entries, own);
-        mobs.flush_buffers += p.flushed.size();
-    }
-    MergeTuning tuning = default_merge_tuning();
-    if (opts_.merge_small_entries != 0)
-        tuning.small_entries = opts_.merge_small_entries;
-    if (opts_.merge_radix_entries != 0)
-        tuning.radix_entries = opts_.merge_radix_entries;
-    MergeStrategy strategy = opts_.merge_strategy == MergeStrategy::Default
-                                 ? default_merge_strategy()
+    // the partials into the root. Both strategies realize the same per-key
+    // reduction DAG — fold_stride_doubling over morsel indices (which keeps
+    // passthrough records in morsel order and depends only on the morsel
+    // count, never the thread count), with early-flush buffers folded in
+    // (morsel, flush-sequence) order — so output bytes are identical
+    // across strategies; only the schedule differs.
+    MergeStrategy strategy = opts_.merge_strategy == MergeStrategy::Adaptive
+                                 ? select_merge_strategy(mobs)
                                  : opts_.merge_strategy;
-    if (strategy == MergeStrategy::Adaptive || strategy == MergeStrategy::Default)
-        strategy = select_merge_strategy(mobs, tuning);
-    if (strategy == MergeStrategy::Radix && !mobs.has_aggregation)
-        strategy = MergeStrategy::Tree; // passthrough rows and windowed pane
-                                        // rings: no monolithic table to
-                                        // hash-partition
+    if (!mobs.has_aggregation)
+        strategy = MergeStrategy::Pairwise; // passthrough rows and windowed
+                                            // pane rings: no monolithic table
+                                            // to hash-partition
+    stats_.merge_entries = mobs.total_entries;
 
     obs::Phase merge_phase("merge");
     const std::uint64_t merge_t0 = obs::now_ns();
 
     if (strategy == MergeStrategy::Radix) {
-        unsigned bits = opts_.merge_radix_bits != 0 ? opts_.merge_radix_bits : 4;
-        bits          = std::clamp(bits, 1u, 8u);
-        const std::size_t nparts = std::size_t(1) << bits;
+        const std::size_t nparts = std::size_t(1) << radix_bits;
         stats_.merge_partitions  = nparts;
 
         // split every partial's group table into hash partitions (verbatim
@@ -330,8 +299,8 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
             extract.reserve(n);
             for (std::size_t i = 0; i < n; ++i) {
                 extract.push_back(
-                    pool.submit([&pc = pieces[i], &p = partials[i], bits] {
-                        pc = p.proc->aggregation_db()->extract_partitions(bits);
+                    pool.submit([&pc = pieces[i], &p = partials[i]] {
+                        pc = p.proc->aggregation_db()->extract_partitions(radix_bits);
                     }));
             }
             wait_all(extract);
@@ -348,21 +317,23 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
             for (const std::vector<std::byte>& buf : p.flushed)
                 flushed.push_back(&buf);
 
-        // one pool task per partition: fold its pieces in the same
-        // stride-doubling worker-index order as the tree (identical per-key
+        // one pool task per partition: fold its pieces through the same
+        // stride-doubling schedule as pairwise (identical per-key
         // arithmetic), then replay the flush buffers filtered to this
-        // partition. Partition tables are ~1/P the monolithic size, so the
-        // fold stays cache-resident at high cardinality.
+        // partition — each task decodes every buffer in full and keeps only
+        // its 1/P share. Partition tables are ~1/P the monolithic size, so
+        // the fold stays cache-resident at high cardinality.
         std::vector<std::future<void>> tasks;
         tasks.reserve(nparts);
         for (std::size_t part = 0; part < nparts; ++part) {
-            tasks.push_back(pool.submit([&pieces, &flushed, part, bits, n] {
+            tasks.push_back(pool.submit([&pieces, &flushed, part, n] {
                 obs::SpanTimer span(merge_partition_time);
-                for (std::size_t stride = 1; stride < n; stride *= 2)
-                    for (std::size_t i = 0; i + stride < n; i += 2 * stride)
-                        pieces[i][part].merge(std::move(pieces[i + stride][part]));
+                fold_stride_doubling(n, [&pieces, part](std::size_t into,
+                                                        std::size_t from) {
+                    pieces[into][part].merge(std::move(pieces[from][part]));
+                });
                 for (const std::vector<std::byte>* buf : flushed)
-                    pieces[0][part].merge_serialized(*buf, bits, part);
+                    pieces[0][part].merge_serialized(*buf, radix_bits, part);
             }));
         }
         wait_all(tasks);
@@ -387,10 +358,9 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
             }
         }
     } else {
-        if (strategy == MergeStrategy::Pairwise)
-            fold_pairwise(partials);
-        else
-            fold_tree(partials, pool);
+        fold_stride_doubling(n, [&partials](std::size_t into, std::size_t from) {
+            partials[into].proc->merge(std::move(*partials[from].proc));
+        });
         root_.merge(std::move(*partials[0].proc));
         // early-flushed buffers fold in last, in morsel order (deterministic)
         for (Partial& p : partials)
@@ -401,6 +371,7 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
     stats_.merge_strategy = strategy;
     stats_.merge_ns       = obs::now_ns() - merge_t0;
     engine_merge_strategy.set(merge_strategy_code(strategy));
+    engine_merge_entries.set(static_cast<std::int64_t>(stats_.merge_entries));
     engine_merge_partitions.set(static_cast<std::int64_t>(stats_.merge_partitions));
     engine_merge_ms.set(static_cast<std::int64_t>(stats_.merge_ns / 1000000));
 }

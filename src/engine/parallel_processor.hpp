@@ -4,12 +4,11 @@
 //   phase 1  workers pull morsels and run the full record pipeline
 //            (read -> LET -> filter -> aggregate) into thread-local
 //            partial QueryProcessors sharing one attribute registry;
-//   phase 2  partials are combined by one of three merge strategies —
-//            pairwise (serial), tree (level-parallel), or radix
-//            (partition-parallel) — picked per query by an adaptive
-//            cardinality selector (see merge_strategy.hpp), then the
-//            driver finishes: canonical order -> ORDER BY -> LIMIT ->
-//            FORMAT.
+//   phase 2  partials are combined by one of two merge strategies —
+//            pairwise (serial) or radix (partition-parallel) — picked per
+//            query by an adaptive cardinality selector (see
+//            merge_strategy.hpp), then the driver finishes: canonical
+//            order -> ORDER BY -> LIMIT -> FORMAT.
 //
 // Output bytes are identical for every thread count and every merge
 // strategy: the morsel split and the per-key reduction DAG depend only on
@@ -18,10 +17,11 @@
 // formatting (see QueryProcessor::result()). docs/ENGINE.md and
 // docs/CORRECTNESS.md have the full argument.
 //
-// An adaptive escape hatch bounds worker memory on high-cardinality keys:
+// Early flush caps a worker's live hash table on high-cardinality keys:
 // when a partial database exceeds max_partial_entries, it is serialized
-// and cleared (early flush); the buffers are folded back in after the
-// reduction, in morsel order, so determinism is unaffected.
+// and cleared. It does not bound the worker's memory: every flushed
+// buffer stays in memory (Partial::flushed) until phase 2 folds it in,
+// after the reduction, in morsel order, so determinism is unaffected.
 #pragma once
 
 #include "merge_strategy.hpp"
@@ -54,7 +54,8 @@ struct EngineOptions {
     /// splits. The plan depends only on the input set and this target.
     std::size_t bytes_per_morsel = default_bytes_per_morsel;
     /// Early-flush a worker partial exceeding this many aggregation
-    /// entries (0 disables).
+    /// entries (0 disables). This caps the live table, not the bytes held:
+    /// flushed buffers stay in memory until phase 2.
     std::size_t max_partial_entries = 1u << 20;
     /// Rows per RecordBatch; 0 = default_batch_size() (CALIB_BATCH_SIZE or
     /// 1024). Clamped to [1, 1<<20]. Output bytes are identical for every
@@ -65,18 +66,11 @@ struct EngineOptions {
     /// unbounded). The sentinel SIZE_MAX resolves to
     /// default_agg_memory_budget() (CALIB_AGG_MEM or unbounded).
     std::size_t agg_memory_budget = static_cast<std::size_t>(-1);
-    /// Phase-2 merge strategy. Default resolves through
-    /// default_merge_strategy() (CALIB_MERGE_STRATEGY or Adaptive); all
-    /// strategies produce byte-identical output (see merge_strategy.hpp),
-    /// so this is a performance knob, never a correctness one.
-    MergeStrategy merge_strategy = MergeStrategy::Default;
-    /// Radix partition count as a bit width (2^bits partitions), clamped
-    /// to [1, 8]. 0 = default (4 bits = 16 partitions).
-    unsigned merge_radix_bits = 0;
-    /// Adaptive-selector thresholds; 0 = default_merge_tuning()
-    /// (CALIB_MERGE_SMALL / CALIB_MERGE_RADIX_MIN or built-ins).
-    std::size_t merge_small_entries = 0;
-    std::size_t merge_radix_entries = 0;
+    /// Phase-2 merge strategy: Adaptive lets select_merge_strategy choose
+    /// from what phase 1 observed; Pairwise or Radix forces one (tests and
+    /// bench_groupby use this to hold every strategy to the same bytes).
+    /// Radix demotes to Pairwise on a query without a plain group table.
+    MergeStrategy merge_strategy = MergeStrategy::Adaptive;
 };
 
 /// Process-wide default rows-per-batch: the last set_default_batch_size()
@@ -96,9 +90,13 @@ struct EngineStats {
     std::size_t morsels           = 0;
     std::size_t early_flushes     = 0;
     std::uint64_t early_flush_bytes = 0;
-    /// Phase-2 strategy actually executed (Default = no merge phase ran,
-    /// i.e. the single-morsel serial path).
-    MergeStrategy merge_strategy = MergeStrategy::Default;
+    /// Phase-2 strategy actually executed: Pairwise or Radix, or Adaptive
+    /// when no merge phase ran (the single-morsel serial path).
+    MergeStrategy merge_strategy = MergeStrategy::Adaptive;
+    /// Entries the selector saw across the partials' group tables, live
+    /// plus early-flushed (0 when no merge phase ran, and for passthrough
+    /// and windowed queries, which always merge pairwise).
+    std::size_t merge_entries = 0;
     /// Radix partition count (0 unless the radix strategy ran).
     std::size_t merge_partitions = 0;
     /// Phase-2 merge wall time in nanoseconds (0 on the serial path).

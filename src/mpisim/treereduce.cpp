@@ -95,7 +95,9 @@ QueryTimes parallel_query(const QuerySpec& spec, const std::vector<std::string>&
 
 QueryTimes modeled_query(const QuerySpec& spec, const std::string& representative_file,
                          int nprocs, const NetModel& net, int files_per_rank,
-                         std::vector<RecordMap>* result) {
+                         std::vector<RecordMap>* result, int fanout) {
+    if (fanout < 2)
+        fanout = 2;
     QueryTimes times;
     times.nprocs = nprocs;
 
@@ -109,49 +111,11 @@ QueryTimes modeled_query(const QuerySpec& spec, const std::string& representativ
     times.input_records = local.num_records_in() * static_cast<std::uint64_t>(nprocs);
 
     // Weak scaling: every rank holds (statistically) the same partial
-    // result, so the root's critical path is one merge of an equal-sized
-    // subtree per tree level. Execute each level's serialize + merge on
-    // real databases and add modeled network hops.
-    QueryProcessor subtree(spec);
-    subtree.merge_serialized(local.serialize_partial());
-
-    double reduce_s = 0.0;
-    for (int step = 1; step < nprocs; step <<= 1) {
-        const std::uint64_t t_level          = now_ns();
-        std::vector<std::byte> buf           = subtree.serialize_partial();
-        const double serialize_s             = seconds_since(t_level);
-        const std::uint64_t t_merge          = now_ns();
-        subtree.merge_serialized(buf); // merge the equal sibling subtree
-        const double merge_s = seconds_since(t_merge);
-        reduce_s += serialize_s + merge_s + net.time_us(buf.size()) * 1e-6;
-        times.bytes_reduced += buf.size();
-    }
-    times.reduce_s       = reduce_s;
-    times.total_s        = times.local_s + times.reduce_s;
-    times.output_records = subtree.result().size();
-    if (result)
-        *result = subtree.result();
-    return times;
-}
-
-QueryTimes modeled_query_kary(const QuerySpec& spec,
-                              const std::string& representative_file, int nprocs,
-                              const NetModel& net, int fanout,
-                              std::vector<RecordMap>* result) {
-    if (fanout < 2)
-        fanout = 2;
-    QueryTimes times;
-    times.nprocs = nprocs;
-
-    const std::uint64_t t_local = now_ns();
-    QueryProcessor local(spec);
-    read_local(representative_file, local);
-    times.local_s       = seconds_since(t_local);
-    times.input_records = local.num_records_in() * static_cast<std::uint64_t>(nprocs);
-
-    // Weak scaling over a k-ary tree: at every level an inner node merges
-    // (fanout - 1) equal sibling subtrees, received concurrently but
+    // result, so the root's critical path is, per tree level, the merge of
+    // (fanout - 1) equal sibling subtrees — received concurrently but
     // merged sequentially; subtree size multiplies by `fanout` per level.
+    // Execute each level's serialize + merges on real databases and add
+    // modeled network hops.
     QueryProcessor subtree(spec);
     subtree.merge_serialized(local.serialize_partial());
 

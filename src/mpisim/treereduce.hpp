@@ -12,7 +12,8 @@
 //                     and every per-level merge are executed and *timed*
 //                     for real, while message hops are charged from a
 //                     NetModel; reproduces the logarithmic reduction
-//                     scaling without P physical threads.
+//                     scaling without P physical threads. Models the
+//                     binomial tree (fanout 2) or any k-ary tree.
 #pragma once
 
 #include "netmodel.hpp"
@@ -48,18 +49,14 @@ QueryTimes parallel_query(const QuerySpec& spec, const std::vector<std::string>&
 /// `files_per_rank` copies of \a representative_file; tree merges are
 /// executed on real aggregation databases and timed, network hops are
 /// charged from \a net. Suitable for P up to 2^20.
+///
+/// \a fanout picks the tree: 2 (the default) is the paper's binomial tree;
+/// a k-ary tree (the fan-out ablation) has each inner node receive and
+/// merge (fanout-1) sibling partials per level, levels =
+/// ceil(log_fanout(P)) — fewer levels but more sequential merges per node,
+/// the classic reduction-tree tradeoff. Values below 2 mean 2.
 QueryTimes modeled_query(const QuerySpec& spec, const std::string& representative_file,
                          int nprocs, const NetModel& net, int files_per_rank = 1,
-                         std::vector<RecordMap>* result = nullptr);
-
-/// Fan-out ablation: model the reduction over a k-ary tree instead of the
-/// binomial (k=2) tree. Each inner node receives and merges (fanout-1)
-/// sibling partials per level; levels = ceil(log_fanout(P)). Higher
-/// fan-out means fewer levels but more sequential merges per node — the
-/// classic reduction-tree tradeoff.
-QueryTimes modeled_query_kary(const QuerySpec& spec,
-                              const std::string& representative_file, int nprocs,
-                              const NetModel& net, int fanout,
-                              std::vector<RecordMap>* result = nullptr);
+                         std::vector<RecordMap>* result = nullptr, int fanout = 2);
 
 } // namespace calib::simmpi

@@ -41,16 +41,12 @@ void usage() {
         "  -j, --json-input      inputs are JSON record arrays (FORMAT json output)\n"
         "  -G, --with-globals    join each file's globals (e.g. mpi.rank) onto\n"
         "                        every record of that file\n"
-        "  -s, --stats           self-profile: per-phase timings and pipeline\n"
-        "                        instruments to stderr (stdout is unchanged)\n"
+        "  -s, --stats           self-profile to stderr (stdout is unchanged):\n"
+        "                        per-phase timings, pipeline instruments, and\n"
+        "                        the merge strategy the selector chose and why\n"
         "      --batch-size <n>  records per columnar batch (default 1024;\n"
         "                        also: CALIB_BATCH_SIZE; suffixes K/M/G;\n"
         "                        same output bytes for every size)\n"
-        "      --merge-strategy <adaptive|pairwise|tree|radix>\n"
-        "                        phase-2 partial-merge strategy (default\n"
-        "                        adaptive: picked per query from observed\n"
-        "                        cardinality; also: CALIB_MERGE_STRATEGY;\n"
-        "                        same output bytes for every choice)\n"
         "      --max-groups-mem <bytes>\n"
         "                        bound aggregation memory: beyond this, sorted\n"
         "                        runs of partial aggregates spill to a temp\n"
@@ -91,8 +87,6 @@ int main(int argc, char** argv) {
     bool with_globals = false;
     std::size_t batch_size = 0;                             // 0 = default
     std::size_t agg_mem    = static_cast<std::size_t>(-1);  // -1 = default
-    calib::engine::MergeStrategy merge_strategy =
-        calib::engine::MergeStrategy::Default; // env or adaptive
     std::vector<std::string> files;
 
     for (int i = 1; i < argc; ++i) {
@@ -148,17 +142,6 @@ int main(int argc, char** argv) {
             if (!calib::util::parse_size(argv[i], batch_size) || batch_size == 0 ||
                 batch_size > (std::size_t(1) << 20)) {
                 std::fprintf(stderr, "cali-query: invalid batch size '%s'\n",
-                             argv[i]);
-                return 2;
-            }
-        } else if (arg == "--merge-strategy") {
-            if (++i >= argc) {
-                std::fprintf(stderr, "cali-query: missing argument for %s\n",
-                             arg.c_str());
-                return 2;
-            }
-            if (!calib::engine::parse_merge_strategy(argv[i], merge_strategy)) {
-                std::fprintf(stderr, "cali-query: unknown merge strategy '%s'\n",
                              argv[i]);
                 return 2;
             }
@@ -280,7 +263,6 @@ int main(int argc, char** argv) {
         eopts.with_globals      = with_globals;
         eopts.batch_size        = batch_size;
         eopts.agg_memory_budget = agg_mem;
-        eopts.merge_strategy    = merge_strategy;
 
         calib::engine::ParallelQueryProcessor engine(spec, eopts);
         calib::QueryProcessor& proc = engine.run(files);
@@ -324,18 +306,18 @@ int main(int argc, char** argv) {
                          static_cast<unsigned long long>(proc.num_records_kept()),
                          proc.result().size(), engine.stats().threads,
                          engine.stats().morsels);
-            if (engine.stats().merge_strategy !=
-                calib::engine::MergeStrategy::Default) {
-                std::fprintf(
-                    stderr, "cali-query: merge strategy %s, %.3f ms%s\n",
-                    calib::engine::merge_strategy_name(
-                        engine.stats().merge_strategy),
-                    static_cast<double>(engine.stats().merge_ns) * 1e-6,
-                    engine.stats().merge_partitions != 0
-                        ? (" (" + std::to_string(engine.stats().merge_partitions) +
-                           " partitions)")
-                              .c_str()
-                        : "");
+            const calib::engine::EngineStats& es = engine.stats();
+            if (es.merge_strategy != calib::engine::MergeStrategy::Adaptive) {
+                calib::engine::MergeObservation seen;
+                seen.has_aggregation = proc.aggregation_db() != nullptr;
+                seen.total_entries   = es.merge_entries;
+                seen.flush_buffers   = es.early_flushes;
+                std::string why = calib::engine::merge_strategy_reason(seen);
+                if (es.merge_partitions != 0)
+                    why += "; " + std::to_string(es.merge_partitions) + " partitions";
+                std::fprintf(stderr, "cali-query: merge strategy %s, %.3f ms (%s)\n",
+                             calib::engine::merge_strategy_name(es.merge_strategy),
+                             static_cast<double>(es.merge_ns) * 1e-6, why.c_str());
             }
             calib::obs::write_stats_table(stderr);
         }

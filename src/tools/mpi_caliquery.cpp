@@ -24,7 +24,6 @@ void usage() {
     std::puts("usage: mpi-caliquery [-n nprocs] [--threads m] [-t] [--stats]\n"
               "                     [--stats-json <f>] [--no-mmap]\n"
               "                     [--batch-size <n>] [--max-groups-mem <bytes>]\n"
-              "                     [--merge-strategy <adaptive|pairwise|tree|radix>]\n"
               "                     -q <calql> <file>...");
 }
 
@@ -84,17 +83,6 @@ int main(int argc, char** argv) {
             if (!calib::util::parse_size(argv[i], n))
                 return std::fprintf(stderr, "invalid --max-groups-mem value\n"), 2;
             calib::engine::set_default_agg_memory_budget(n);
-        } else if (arg == "--merge-strategy") {
-            // flows to every rank's local engine via the process-wide default
-            // (simmpi builds its own EngineOptions), like --batch-size
-            if (++i >= argc)
-                return std::fprintf(stderr,
-                                    "missing argument for --merge-strategy\n"),
-                       2;
-            calib::engine::MergeStrategy s = calib::engine::MergeStrategy::Default;
-            if (!calib::engine::parse_merge_strategy(argv[i], s))
-                return std::fprintf(stderr, "invalid --merge-strategy value\n"), 2;
-            calib::engine::set_default_merge_strategy(s);
         } else if (arg == "--no-mmap") {
             calib::FileBuffer::set_mmap_enabled(false);
         } else if (arg == "-h" || arg == "--help") {

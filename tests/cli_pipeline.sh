@@ -74,38 +74,51 @@ expect_morsels t4_stats.txt 3 3
 diff t1.csv t4.csv || { echo "-t 1 and -t 4 results differ"; exit 1; }
 diff big_default.csv t4.csv || { echo "default and -t 4 results differ"; exit 1; }
 
-echo "== --merge-strategy: every strategy byte-identical at t1 and t4 =="
-for strat in pairwise tree radix adaptive; do
-    "$CALI_QUERY" -t 1 --merge-strategy "$strat" -s -q "$big_q" pdbig/*.cali \
-        > ms_t1.csv 2> ms_t1_stats.txt
-    expect_morsels ms_t1_stats.txt 1 3
-    "$CALI_QUERY" -t 4 --merge-strategy "$strat" -q "$big_q" pdbig/*.cali \
-        > ms_t4.csv
-    diff ms_t1.csv ms_t4.csv || {
-        echo "--merge-strategy $strat: t1 and t4 differ"; exit 1; }
-    diff t1.csv ms_t1.csv || {
-        echo "--merge-strategy $strat differs from the default engine"; exit 1; }
-done
-CALIB_MERGE_STRATEGY=tree "$CALI_QUERY" -t 4 -q "$big_q" pdbig/*.cali > ms_env.csv
-diff t1.csv ms_env.csv || { echo "CALIB_MERGE_STRATEGY changed output"; exit 1; }
-"$CALI_QUERY" --merge-strategy bogus -q "FORMAT csv" clever-0.cali 2>/dev/null && {
-    echo "bogus --merge-strategy must fail"; exit 1; }
-
-echo "== --merge-strategy: the engine.merge_strategy gauge reports the code =="
-for pair in pairwise:1 tree:2 radix:3; do
-    strat=${pair%:*}; code=${pair#*:}
-    "$CALI_QUERY" -t 4 --merge-strategy "$strat" --stats-json "ms_$strat.json" \
-        -q "AGGREGATE sum(count) GROUP BY kernel FORMAT csv" pdbig/*.cali \
-        > /dev/null
-    grep -q "\"name\": \"engine.merge_strategy\", \"value\": $code" \
-        "ms_$strat.json" || {
-        echo "engine.merge_strategy gauge: expected code $code for $strat"
+echo "== merge selector: radix on 120,000 groups, pairwise on a few, no flag =="
+# pdbig's 3 morsels: GROUP BY * keeps 120,000 disjoint groups (>= 65,536
+# partial entries, so radix), GROUP BY kernel a handful (pairwise)
+star_q="AGGREGATE count GROUP BY * FORMAT csv"
+kernel_q="AGGREGATE sum(count) GROUP BY kernel FORMAT csv"
+# expect_merge <name> <query> <strategy> <gauge code>: the -s line and the
+# engine.merge_strategy gauge name the strategy; -t 1 and -t 4 agree
+expect_merge() {
+    "$CALI_QUERY" -t 1 -s --stats-json "sel_$1.json" -q "$2" pdbig/*.cali \
+        > "sel_$1_t1.csv" 2> "sel_$1_stats.txt"
+    expect_morsels "sel_$1_stats.txt" 1 3
+    "$CALI_QUERY" -t 4 -q "$2" pdbig/*.cali > "sel_$1_t4.csv"
+    cmp "sel_$1_t1.csv" "sel_$1_t4.csv" || {
+        echo "$1: -t 1 and -t 4 differ"; exit 1; }
+    grep -q "merge strategy $3, " "sel_$1_stats.txt" || {
+        echo "$1: expected merge strategy $3:"; grep "merge strategy" "sel_$1_stats.txt"
         exit 1; }
-done
-grep -q "\"name\": \"engine.merge_partitions\", \"value\": 16" ms_radix.json || {
+    grep -q "\"name\": \"engine.merge_strategy\", \"value\": $4" "sel_$1.json" || {
+        echo "$1: engine.merge_strategy gauge: expected code $4"; exit 1; }
+}
+expect_merge star "$star_q" radix 3
+test "$(tail -n +2 sel_star_t1.csv | grep -c .)" -eq 120000 || {
+    echo "GROUP BY * should keep 120,000 groups"; exit 1; }
+grep -q "merge strategy radix, .*(120,000 partial entries >= 65,536; 16 partitions)" \
+    sel_star_stats.txt || {
+    echo "radix: -s should say why:"; grep "merge strategy" sel_star_stats.txt; exit 1; }
+grep -q "\"name\": \"engine.merge_partitions\", \"value\": 16" sel_star.json || {
     echo "engine.merge_partitions gauge missing for radix"; exit 1; }
+grep -q "\"name\": \"engine.merge_entries\", \"value\": 120000" sel_star.json || {
+    echo "engine.merge_entries gauge: expected 120000"; exit 1; }
+expect_merge kernel "$kernel_q" pairwise 1
+grep -q "partial entries < 65,536)" sel_kernel_stats.txt || {
+    echo "pairwise: -s should say why:"; grep "merge strategy" sel_kernel_stats.txt
+    exit 1; }
+# the strategy is not a setting: the removed flag is an unknown option, and
+# the removed environment variable changes nothing
+"$CALI_QUERY" --merge-strategy radix -q "$kernel_q" pdbig/*.cali 2>/dev/null && {
+    echo "--merge-strategy must be an unknown option"; exit 1; }
+CALIB_MERGE_STRATEGY=radix "$CALI_QUERY" -t 4 -s -q "$kernel_q" pdbig/*.cali \
+    > sel_env.csv 2> sel_env_stats.txt
+grep -q "merge strategy pairwise, " sel_env_stats.txt || {
+    echo "CALIB_MERGE_STRATEGY must not pick the strategy"; exit 1; }
+cmp sel_kernel_t1.csv sel_env.csv || { echo "kernel query output changed"; exit 1; }
 
-echo "== WINDOW: byte-identical across threads, strategies, batch sizes =="
+echo "== WINDOW: byte-identical across threads and batch sizes =="
 # a trace-mode run (no aggregation) carries time.offset on every record
 "$CLEVER_RUN" -n 1 --steps 4 --nx 32 --ny 16 \
     -P "services.enable=event,timer,trace,recorder
@@ -118,12 +131,9 @@ win_q="AGGREGATE count,sum(time.duration) GROUP BY kernel
 rows=$(tail -n +2 win_ref.csv | grep -c .)
 test "$rows" -ge 1 || { echo "windowed query returned no rows"; exit 1; }
 for threads in 1 2 4; do
-    for strat in pairwise tree radix adaptive; do
-        "$CALI_QUERY" -t "$threads" --merge-strategy "$strat" -q "$win_q" \
-            wtrace-0.cali > win_run.csv
-        diff win_ref.csv win_run.csv || {
-            echo "WINDOW: -t $threads --merge-strategy $strat differs"; exit 1; }
-    done
+    "$CALI_QUERY" -t "$threads" -q "$win_q" wtrace-0.cali > win_run.csv
+    diff win_ref.csv win_run.csv || {
+        echo "WINDOW: -t $threads differs"; exit 1; }
 done
 for bs in 1 7 4096; do
     "$CALI_QUERY" -t 4 --batch-size "$bs" -q "$win_q" wtrace-0.cali > win_run.csv

@@ -22,6 +22,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 using namespace calib;
 using namespace calib::engine;
@@ -835,8 +836,7 @@ TEST(SpillBudget, DefaultBudgetSetterAppliesToEngine) {
 
 namespace {
 
-const MergeStrategy kStrategies[] = {MergeStrategy::Pairwise,
-                                     MergeStrategy::Tree, MergeStrategy::Radix,
+const MergeStrategy kStrategies[] = {MergeStrategy::Pairwise, MergeStrategy::Radix,
                                      MergeStrategy::Adaptive};
 
 /// High-cardinality multi-file input: 4 files x 250 unique ids, plus the
@@ -931,59 +931,87 @@ TEST(MergeStrategies, StatsReportExecutedStrategyAndPartitions) {
     run_engine(query, files, opts, &stats);
     EXPECT_EQ(stats.merge_strategy, MergeStrategy::Pairwise);
     EXPECT_EQ(stats.merge_partitions, 0u);
-
-    opts.merge_strategy = MergeStrategy::Tree;
-    run_engine(query, files, opts, &stats);
-    EXPECT_EQ(stats.merge_strategy, MergeStrategy::Tree);
+    EXPECT_EQ(stats.merge_entries, 1000u); // 4 partials x 250 groups
 
     opts.merge_strategy = MergeStrategy::Radix;
     run_engine(query, files, opts, &stats);
     EXPECT_EQ(stats.merge_strategy, MergeStrategy::Radix);
-    EXPECT_EQ(stats.merge_partitions, 16u); // default 4 bits
+    EXPECT_EQ(stats.merge_partitions, 16u);
+    EXPECT_EQ(stats.merge_entries, 1000u);
     EXPECT_GT(stats.merge_ns, 0u);
 
-    opts.merge_radix_bits = 3;
+    // one morsel: no merge phase ran
+    opts.bytes_per_morsel = default_bytes_per_morsel;
     run_engine(query, files, opts, &stats);
-    EXPECT_EQ(stats.merge_partitions, 8u);
+    EXPECT_EQ(stats.morsels, 1u);
+    EXPECT_EQ(stats.merge_strategy, MergeStrategy::Adaptive);
+    EXPECT_EQ(stats.merge_entries, 0u);
+    EXPECT_EQ(stats.merge_partitions, 0u);
 }
 
 TEST(MergeStrategies, AdaptiveSelectorPicksByCardinality) {
-    TempDir dir("merge-adaptive");
-    const std::vector<std::string> files = write_strategy_input(dir);
-    const std::string query = "AGGREGATE sum(count) GROUP BY id FORMAT csv";
+    MergeObservation obs;
+    obs.has_aggregation = true;
+    for (const auto& [entries, want, why] :
+         {std::tuple{std::size_t(0), MergeStrategy::Pairwise,
+                     "0 partial entries < 65,536"},
+          std::tuple{std::size_t(65535), MergeStrategy::Pairwise,
+                     "65,535 partial entries < 65,536"},
+          std::tuple{std::size_t(65536), MergeStrategy::Radix,
+                     "65,536 partial entries >= 65,536"}}) {
+        obs.total_entries = entries;
+        EXPECT_EQ(select_merge_strategy(obs), want) << entries << " entries";
+        EXPECT_EQ(merge_strategy_reason(obs), why);
+    }
 
-    // 1000 groups: above a tiny radix threshold -> radix
-    EngineOptions opts;
-    opts.threads             = 4;
-    opts.bytes_per_morsel    = 0;
-    opts.merge_strategy      = MergeStrategy::Adaptive;
-    opts.merge_small_entries = 16; // 1000 groups is not "small"
-    opts.merge_radix_entries = 64;
+    // an early flush means cardinality already blew the partial bound
+    obs.total_entries = 10;
+    obs.flush_buffers = 1;
+    EXPECT_EQ(select_merge_strategy(obs), MergeStrategy::Radix);
+    EXPECT_EQ(merge_strategy_reason(obs), "1 early flush");
+
+    // passthrough and windowed queries have no group table to partition
+    obs.has_aggregation = false;
+    obs.total_entries   = 1000000;
+    obs.flush_buffers   = 0;
+    EXPECT_EQ(select_merge_strategy(obs), MergeStrategy::Pairwise);
+    EXPECT_EQ(merge_strategy_reason(obs), "passthrough or windowed query");
+}
+
+TEST(MergeStrategies, AdaptivePicksRadixAtHighCardinality) {
+    // four overlapping files, 20000 ids each at a stride of 12000: 80000
+    // partial entries (>= 2^16) over 56000 groups, most keys in two
+    // partials. One morsel per file; no merge strategy is set.
+    TempDir dir("merge-radix-adaptive");
+    std::vector<std::string> files;
+    for (int f = 0; f < 4; ++f) {
+        files.push_back(dir.file("h" + std::to_string(f) + ".cali"));
+        write_cali(files.back(), 20000, f * 12000);
+    }
+    const std::string query =
+        "AGGREGATE sum(count),avg(count),count GROUP BY id ORDER BY id FORMAT csv";
+
+    EngineOptions adaptive;
+    adaptive.bytes_per_morsel = 0;
+    EngineOptions pairwise    = adaptive;
+    pairwise.merge_strategy   = MergeStrategy::Pairwise;
+    for (std::size_t t : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
+        adaptive.threads = pairwise.threads = t;
+        EngineStats stats;
+        const std::string out = run_engine(query, files, adaptive, &stats);
+        EXPECT_EQ(stats.merge_strategy, MergeStrategy::Radix) << "t" << t;
+        EXPECT_EQ(stats.merge_entries, 80000u) << "t" << t;
+        EXPECT_EQ(stats.merge_partitions, 16u) << "t" << t;
+        EXPECT_EQ(out, run_engine(query, files, pairwise, &stats)) << "t" << t;
+        EXPECT_EQ(stats.merge_strategy, MergeStrategy::Pairwise) << "t" << t;
+    }
+
+    // a low-cardinality key over the same partials stays pairwise
     EngineStats stats;
-    run_engine(query, files, opts, &stats);
-    EXPECT_EQ(stats.merge_strategy, MergeStrategy::Radix);
-
-    // below the small-query threshold -> pairwise (4 groups << 4096)
-    opts.merge_small_entries = 0; // back to default tuning
-    opts.merge_radix_entries = 0;
-    run_engine("AGGREGATE sum(count) GROUP BY kernel FORMAT csv", files, opts,
+    run_engine("AGGREGATE sum(count) GROUP BY kernel FORMAT csv", files, adaptive,
                &stats);
     EXPECT_EQ(stats.merge_strategy, MergeStrategy::Pairwise);
-
-    // mid-band cardinality with raised thresholds -> tree
-    opts.merge_small_entries = 16;
-    opts.merge_radix_entries = 1u << 20;
-    run_engine(query, files, opts, &stats);
-    EXPECT_EQ(stats.merge_strategy, MergeStrategy::Tree);
-
-    // the selector observes the input set, never the thread count: the
-    // choice is identical at every thread count (thread-count identity
-    // depends on this when a spill budget is set)
-    for (std::size_t t : kThreadCounts) {
-        opts.threads = t;
-        run_engine(query, files, opts, &stats);
-        EXPECT_EQ(stats.merge_strategy, MergeStrategy::Tree) << "t" << t;
-    }
+    EXPECT_EQ(stats.merge_entries, 16u); // 4 partials x 4 kernels
 }
 
 TEST(MergeStrategies, NonAggregationQueriesNeverUseRadix) {
@@ -996,7 +1024,7 @@ TEST(MergeStrategies, NonAggregationQueriesNeverUseRadix) {
     EngineStats stats;
     const std::string out =
         run_engine("SELECT kernel,id FORMAT csv", files, opts, &stats);
-    EXPECT_EQ(stats.merge_strategy, MergeStrategy::Tree);
+    EXPECT_EQ(stats.merge_strategy, MergeStrategy::Pairwise);
     EXPECT_NE(out.find("advec"), std::string::npos);
 
     opts.merge_strategy = MergeStrategy::Pairwise;
@@ -1010,8 +1038,7 @@ TEST(MergeStrategies, SpillBudgetStaysThreadCountDeterministic) {
     const std::vector<std::string> files = write_strategy_input(dir);
     const std::string query =
         "AGGREGATE sum(count),count GROUP BY id ORDER BY id FORMAT csv";
-    for (MergeStrategy s :
-         {MergeStrategy::Pairwise, MergeStrategy::Tree, MergeStrategy::Radix}) {
+    for (MergeStrategy s : {MergeStrategy::Pairwise, MergeStrategy::Radix}) {
         EngineOptions opts;
         opts.merge_strategy    = s;
         opts.agg_memory_budget = 1; // clamps to the 16-entry floor
@@ -1085,23 +1112,11 @@ R,2=-5e-324,0=804,3=9223372036854775807,1=0
 }
 
 TEST(MergeStrategies, ParseAndDefaultRoundTrip) {
-    MergeStrategy s = MergeStrategy::Default;
-    EXPECT_TRUE(parse_merge_strategy("radix", s));
-    EXPECT_EQ(s, MergeStrategy::Radix);
-    EXPECT_TRUE(parse_merge_strategy("auto", s));
-    EXPECT_EQ(s, MergeStrategy::Adaptive);
-    EXPECT_TRUE(parse_merge_strategy("serial", s));
-    EXPECT_EQ(s, MergeStrategy::Pairwise);
-    EXPECT_FALSE(parse_merge_strategy("bogus", s));
+    EXPECT_STREQ(merge_strategy_name(MergeStrategy::Adaptive), "adaptive");
+    EXPECT_STREQ(merge_strategy_name(MergeStrategy::Pairwise), "pairwise");
+    EXPECT_STREQ(merge_strategy_name(MergeStrategy::Radix), "radix");
 
-    const MergeStrategy before = default_merge_strategy();
-    set_default_merge_strategy(MergeStrategy::Tree);
-    EXPECT_EQ(default_merge_strategy(), MergeStrategy::Tree);
-    set_default_merge_strategy(MergeStrategy::Default); // back to env/adaptive
-    EXPECT_EQ(default_merge_strategy(), before);
-
-    EXPECT_EQ(merge_strategy_code(MergeStrategy::Default), 0);
+    EXPECT_EQ(merge_strategy_code(MergeStrategy::Adaptive), 0); // no merge ran
     EXPECT_EQ(merge_strategy_code(MergeStrategy::Pairwise), 1);
-    EXPECT_EQ(merge_strategy_code(MergeStrategy::Tree), 2);
     EXPECT_EQ(merge_strategy_code(MergeStrategy::Radix), 3);
 }

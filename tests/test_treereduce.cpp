@@ -211,7 +211,7 @@ TEST(ModeledQueryKary, SameResultAnyFanout) {
     // P = fanout^levels exactly, totals match the binary tree's
     std::vector<RecordMap> binary, kary;
     modeled_query(spec, paths[0], 64, NetModel{}, 1, &binary);
-    modeled_query_kary(spec, paths[0], 64, NetModel{}, 4, &kary);
+    modeled_query(spec, paths[0], 64, NetModel{}, 1, &kary, 4);
     ASSERT_EQ(binary.size(), kary.size());
     for (const RecordMap& b : binary) {
         const RecordMap k = find_record(kary, "kernel", b.get("kernel"));
@@ -226,8 +226,8 @@ TEST(ModeledQueryKary, HigherFanoutFewerLevelsMoreMerges) {
     const auto paths     = paradis::generate_dataset(dir.str(), 1, cfg);
     const QuerySpec spec = parse_calql("AGGREGATE sum(count) GROUP BY kernel");
 
-    const auto t2  = modeled_query_kary(spec, paths[0], 4096, NetModel{}, 2);
-    const auto t64 = modeled_query_kary(spec, paths[0], 4096, NetModel{}, 64);
+    const auto t2  = modeled_query(spec, paths[0], 4096, NetModel{}, 1, nullptr, 2);
+    const auto t64 = modeled_query(spec, paths[0], 4096, NetModel{}, 1, nullptr, 64);
     // 64-ary: 2 levels x 63 merges = 126 sequential merges at the root
     // path vs binary's 12 — more bytes move through each inner node
     EXPECT_GT(t64.bytes_reduced, t2.bytes_reduced);

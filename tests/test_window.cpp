@@ -467,8 +467,8 @@ TEST(WindowEngine, ByteIdenticalAcrossThreadsStrategiesAndBatchSizes) {
 
     for (const std::size_t threads : {1u, 2u, 4u}) {
         for (const engine::MergeStrategy strategy :
-             {engine::MergeStrategy::Pairwise, engine::MergeStrategy::Tree,
-              engine::MergeStrategy::Radix}) {
+             {engine::MergeStrategy::Pairwise, engine::MergeStrategy::Radix,
+              engine::MergeStrategy::Adaptive}) {
             for (const std::size_t batch : {1u, 7u, 64u}) {
                 engine::EngineOptions opts = base;
                 opts.threads        = threads;
