@@ -79,15 +79,13 @@ struct EngineRun {
 
 EngineRun run_engine(const QuerySpec& spec, const std::string& path,
                      std::size_t threads, bool use_mmap,
-                     std::size_t morsel_bytes, std::size_t flush_limit,
-                     std::size_t batch_size,
+                     std::size_t morsel_bytes, std::size_t batch_size,
                      std::size_t memory_budget,
                      engine::MergeStrategy strategy =
                          engine::MergeStrategy::Adaptive) {
     EngineRun run;
     run.label = "t" + std::to_string(threads) + (use_mmap ? "/mmap" : "/read") +
                 "/m" + std::to_string(morsel_bytes) +
-                (flush_limit ? "/flush" : "") +
                 "/b" + std::to_string(batch_size) +
                 (memory_budget ? "/spill" : "");
     if (strategy != engine::MergeStrategy::Adaptive)
@@ -98,9 +96,7 @@ EngineRun run_engine(const QuerySpec& spec, const std::string& path,
         engine::EngineOptions opts;
         opts.threads         = threads;
         opts.bytes_per_morsel = morsel_bytes;
-        if (flush_limit)
-            opts.max_partial_entries = flush_limit;
-        opts.batch_size = batch_size;
+        opts.batch_size       = batch_size;
         // explicit (not the SIZE_MAX sentinel), so CALIB_AGG_MEM in the
         // environment cannot perturb fuzz determinism
         opts.agg_memory_budget = memory_budget;
@@ -232,7 +228,6 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     Rng rng(case_salt ^ 0xd1fbeefULL);
     static const std::size_t kMorselBytes[] = {0, 256, 1024, std::size_t(4) << 20};
     const std::size_t morsel_bytes = kMorselBytes[rng.below(4)];
-    const std::size_t flush_limit  = rng.chance(25) ? 2 : 0;
 
     TempFile input(opts.work_dir,
                    "calib-fuzz-" + std::to_string(case_salt) + ".cali",
@@ -244,43 +239,32 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     for (std::size_t threads : {std::size_t(1), std::size_t(2), std::size_t(4)})
         for (bool use_mmap : {true, false})
             runs.push_back(run_engine(spec, input.path(), threads, use_mmap,
-                                      morsel_bytes, flush_limit,
-                                      /*batch_size=*/1024,
+                                      morsel_bytes, /*batch_size=*/1024,
                                       /*memory_budget=*/0));
     // merge-strategy matrix: every phase-2 strategy must be byte-identical
     // to the adaptive head at every thread count (the strategies realize
     // the same per-key reduction DAG; only the schedule differs). Runs
-    // share the case's morsel and flush plan — the flush plan fixes the
-    // reduction DAG, the strategy must not.
+    // share the case's morsel plan — the plan fixes the reduction DAG, the
+    // strategy must not.
     for (engine::MergeStrategy strategy :
          {engine::MergeStrategy::Pairwise, engine::MergeStrategy::Radix})
         for (std::size_t threads :
              {std::size_t(1), std::size_t(2), std::size_t(4)})
             runs.push_back(run_engine(spec, input.path(), threads,
                                       /*use_mmap=*/true, morsel_bytes,
-                                      flush_limit, /*batch_size=*/1024,
+                                      /*batch_size=*/1024,
                                       /*memory_budget=*/0, strategy));
-    // batch-size invariance family: one-row batches (at one and two
-    // threads) and other forced tiny batch sizes must be byte-identical to
-    // the 1024-row default (the columnar-pipeline claim: results do not
-    // depend on where batches are cut). Early flush triggers at batch — not
-    // record —
-    // granularity, so its cut points move with the batch size and regroup
-    // floating-point reductions; this family therefore always runs with
-    // early flush off, joining the base family directly when the case's
-    // flush plan is also off (otherwise it gets its own reference head).
-    std::vector<EngineRun> batch_runs;
-    std::vector<EngineRun>& famB = flush_limit == 0 ? runs : batch_runs;
-    if (flush_limit != 0)
-        famB.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes, 0,
-                                  /*batch_size=*/1024, 0));
-    famB.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes, 0,
+    // batch-size invariance: one-row batches (at one and two threads) and
+    // other forced tiny batch sizes must be byte-identical to the 1024-row
+    // default (the columnar-pipeline claim: results do not depend on where
+    // batches are cut, only on the morsel plan)
+    runs.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes,
                               /*batch_size=*/1, 0));
-    famB.push_back(run_engine(spec, input.path(), 2, true, morsel_bytes, 0,
+    runs.push_back(run_engine(spec, input.path(), 2, true, morsel_bytes,
                               /*batch_size=*/1, 0));
     for (std::size_t bs : {std::size_t(2), std::size_t(7)})
-        famB.push_back(run_engine(spec, input.path(), bs == 7 ? 4 : 1, true,
-                                  morsel_bytes, 0, bs, 0));
+        runs.push_back(run_engine(spec, input.path(), bs == 7 ? 4 : 1, true,
+                                  morsel_bytes, bs, 0));
 
     auto compare_family = [&](const std::vector<EngineRun>& family) {
         const EngineRun& head = family.front();
@@ -302,8 +286,6 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
         }
     };
     compare_family(runs);
-    if (!batch_runs.empty())
-        compare_family(batch_runs);
     const EngineRun& base = runs.front();
 
     // forced-spill family: a 1-byte budget clamps the live group table to
@@ -313,12 +295,12 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     // regroup additions, so the family is compared within itself (plus the
     // tolerant oracle below), not byte-compared against the unspilled base.
     std::vector<EngineRun> spill_runs;
-    spill_runs.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes, 0,
+    spill_runs.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes,
                                     /*batch_size=*/1024,
                                     /*memory_budget=*/1));
-    spill_runs.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes, 0,
+    spill_runs.push_back(run_engine(spec, input.path(), 1, true, morsel_bytes,
                                     /*batch_size=*/1, 1));
-    spill_runs.push_back(run_engine(spec, input.path(), 4, false, morsel_bytes, 0,
+    spill_runs.push_back(run_engine(spec, input.path(), 4, false, morsel_bytes,
                                     /*batch_size=*/7, 1));
     compare_family(spill_runs);
 
@@ -328,7 +310,7 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
     std::vector<EngineRun> radix_spill_runs;
     for (std::size_t threads : {std::size_t(1), std::size_t(4)})
         radix_spill_runs.push_back(
-            run_engine(spec, input.path(), threads, true, morsel_bytes, 0,
+            run_engine(spec, input.path(), threads, true, morsel_bytes,
                        /*batch_size=*/1024, /*memory_budget=*/1,
                        engine::MergeStrategy::Radix));
     compare_family(radix_spill_runs);
@@ -353,8 +335,7 @@ std::vector<std::string> check_case(const Corpus& corpus, const std::string& que
             check_order(spill_runs.front().rows, spill_runs.front().label);
         if (spec.limit > 0) {
             unlimited = run_engine(no_limit, input.path(), 1, true, morsel_bytes,
-                                   flush_limit, /*batch_size=*/1024,
-                                   /*memory_budget=*/0);
+                                   /*batch_size=*/1024, /*memory_budget=*/0);
             if (unlimited->threw) {
                 failures.push_back("query without LIMIT rejected: " + unlimited->error);
             } else {

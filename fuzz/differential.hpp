@@ -4,22 +4,21 @@
 // executes every query through the full engine matrix — serial
 // QueryProcessor (RecordMap input through RecordMapFeeder),
 // ParallelQueryProcessor at 1/2/4 threads, mmap and read()-fallback I/O,
-// with and without forced early flushes, the default batch size plus
-// forced tiny batch sizes 1/2/7 (one-row batches at 1 and 2 threads), and
-// a forced-spill family under a 1-byte aggregation memory budget, and a
-// weighted family (RecordMapFeeder rows of seeded multiplicity vs the
-// same rows expanded copy by copy, with and without that budget) — and
-// checks three independent properties:
+// both merge strategies, the default batch size plus forced tiny batch
+// sizes 1/2/7 (one-row batches at 1 and 2 threads), a forced-spill family
+// under a 1-byte aggregation memory budget, and a weighted family
+// (RecordMapFeeder rows of seeded multiplicity vs the same rows expanded
+// copy by copy, with and without that budget) — and checks three
+// independent properties:
 //
 //   1. engine-family determinism: every parallel configuration sharing a
 //      morsel plan produces byte-identical formatted output — including
-//      one-row batches vs any batch size (at a fixed early-flush plan;
-//      flush cuts at batch granularity, so the batch-size family runs
-//      with flush off); the forced-spill family is byte-compared within
-//      itself (spilled merges may regroup floating-point additions, so
-//      spill-on vs spill-off is checked through the tolerant oracle
-//      instead); a weighted row answers byte-identically to its copies,
-//      record counts included;
+//      one-row batches vs any batch size (each morsel yields one partial,
+//      so the reduction DAG depends on the plan alone); the forced-spill
+//      family is byte-compared within itself (spilled merges may regroup
+//      floating-point additions, so spill-on vs spill-off is checked
+//      through the tolerant oracle instead); a weighted row answers
+//      byte-identically to its copies, record counts included;
 //   2. oracle agreement: engine (unspilled and spilled) and serial
 //      results match the naive exact oracle (exactly for
 //      counts/min/max/histograms/integer sums, within a forward error

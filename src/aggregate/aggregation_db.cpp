@@ -1088,15 +1088,6 @@ void AggregationDB::absorb_disjoint(AggregationDB&& other) {
     other.clear();
 }
 
-std::size_t AggregationDB::serialized_entry_count(std::span<const std::byte> data) {
-    ByteReader r(data);
-    if (r.get<std::uint32_t>() != serialize_magic)
-        throw std::runtime_error("AggregationDB: bad serialization magic");
-    r.get<std::uint32_t>(); // op count
-    r.get<std::uint64_t>(); // processed
-    return r.get<std::uint32_t>();
-}
-
 std::vector<std::byte> AggregationDB::serialize() const {
     std::vector<std::byte> buf;
     ByteWriter w(buf);
@@ -1148,23 +1139,6 @@ std::vector<std::byte> AggregationDB::serialize() const {
 }
 
 void AggregationDB::merge_serialized(std::span<const std::byte> data) {
-    merge_serialized_impl(data, 0, 0);
-}
-
-void AggregationDB::merge_serialized(std::span<const std::byte> data, unsigned bits,
-                                     std::size_t partition) {
-    assert(bits >= 1 && bits <= 8);
-    assert(partition < (std::size_t(1) << bits));
-    merge_serialized_impl(data, bits, partition);
-}
-
-/// bits == 0 folds every entry (plain merge_serialized); bits > 0 folds
-/// only the entries whose key hash lands in \a partition — the rest are
-/// still decoded (to advance the reader) but not applied. Record counts
-/// are credited once per buffer: always when bits == 0, else only by the
-/// partition-0 replay.
-void AggregationDB::merge_serialized_impl(std::span<const std::byte> data,
-                                          unsigned bits, std::size_t partition) {
     ByteReader r(data);
     if (r.get<std::uint32_t>() != serialize_magic)
         throw std::runtime_error("AggregationDB: bad serialization magic");
@@ -1173,7 +1147,7 @@ void AggregationDB::merge_serialized_impl(std::span<const std::byte> data,
         throw std::runtime_error("AggregationDB: op-count mismatch in merge");
     const auto nprocessed = r.get<std::uint64_t>();
     const auto nentries   = r.get<std::uint32_t>();
-    grow_for(entries_.size() + (bits == 0 ? nentries : nentries >> bits));
+    grow_for(entries_.size() + nentries);
 
     // scratch for one deserialized kernel state (largest op state)
     std::uint64_t scratch[kernel::histogram_bins + 4];
@@ -1191,15 +1165,7 @@ void AggregationDB::merge_serialized_impl(std::span<const std::byte> data,
                 attr = registry_->create(name, value.type()).id();
             key[k] = Entry(attr, value);
         }
-        const std::uint64_t h = hash_key(key, key_len);
-        if (bits != 0 && (h >> (64 - bits)) != partition) {
-            for (std::size_t i = 0; i < config_.ops.size(); ++i) {
-                kernel::state_init(config_.ops[i].op, scratch);
-                kernel::state_deserialize(config_.ops[i].op, scratch, r);
-            }
-            continue;
-        }
-        const std::size_t index = find_or_insert(key, key_len, h);
+        const std::size_t index = find_or_insert(key, key_len, hash_key(key, key_len));
         for (std::size_t i = 0; i < config_.ops.size(); ++i) {
             kernel::state_init(config_.ops[i].op, scratch);
             kernel::state_deserialize(config_.ops[i].op, scratch, r);
@@ -1207,8 +1173,7 @@ void AggregationDB::merge_serialized_impl(std::span<const std::byte> data,
         }
         maybe_spill();
     }
-    if (bits == 0 || partition == 0)
-        processed_ += nprocessed;
+    processed_ += nprocessed;
 }
 
 void AggregationDB::clear() {

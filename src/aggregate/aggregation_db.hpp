@@ -148,19 +148,6 @@ public:
     /// radix concatenation step. \a other is empty afterwards.
     void absorb_disjoint(AggregationDB&& other);
 
-    /// Partition-filtered variant of merge_serialized(): folds in only the
-    /// entries whose key hash lands in \a partition (top \a bits), so each
-    /// radix partition task can replay early-flush buffers independently.
-    /// The buffer's record count is credited only when partition == 0, so
-    /// replaying every partition of one buffer counts it exactly once.
-    void merge_serialized(std::span<const std::byte> data, unsigned bits,
-                          std::size_t partition);
-
-    /// Entry count recorded in a serialize() buffer header (used by the
-    /// engine's adaptive merge selector to size early-flushed partials
-    /// without re-parsing the buffer).
-    static std::size_t serialized_entry_count(std::span<const std::byte> data);
-
     /// Serialize all entries (attribute labels by name, so the buffer is
     /// meaningful across registries).
     std::vector<std::byte> serialize() const;
@@ -215,8 +202,6 @@ private:
     /// its table slot without key comparisons (caller guarantees the key
     /// is not present).
     void append_entry_unchecked(const AggregationDB& src, const EntryRec& rec);
-    void merge_serialized_impl(std::span<const std::byte> data, unsigned bits,
-                               std::size_t partition);
     void update_ops(std::size_t entry_index, std::span<const Entry> record,
                     std::uint64_t copies);
     void update_ops_cols(std::size_t entry_index, const RecordBatch& batch,

@@ -95,13 +95,6 @@ void WindowedAggregator::process_batch(const RecordBatch& batch,
     close_run();
 }
 
-std::size_t WindowedAggregator::entries() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [idx, db] : panes_)
-        n += db.size();
-    return n;
-}
-
 void WindowedAggregator::set_memory_budget(std::size_t bytes) {
     memory_budget_ = bytes;
     for (auto& [idx, db] : panes_)
@@ -169,11 +162,6 @@ void WindowedAggregator::merge_serialized(std::span<const std::byte> data) {
     if (has_wm && (!watermark_ || wm > *watermark_))
         watermark_ = wm;
     retire_expired();
-}
-
-void WindowedAggregator::clear() {
-    panes_.clear();
-    dropped_late_ = dropped_no_time_ = 0;
 }
 
 RowArena WindowedAggregator::flush_rows() const {

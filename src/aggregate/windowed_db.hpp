@@ -56,9 +56,6 @@ public:
     void process_batch(const RecordBatch& batch,
                        std::span<const std::uint32_t> selection);
 
-    /// Total aggregation entries across live panes (early-flush watermark).
-    std::size_t entries() const noexcept;
-    bool empty() const noexcept { return panes_.empty(); }
     std::size_t pane_count() const noexcept { return panes_.size(); }
 
     /// Bound each pane's in-memory group table (see AggregationDB).
@@ -72,12 +69,6 @@ public:
     /// AggregationDB buffer per live pane (meaningful across registries).
     std::vector<std::byte> serialize() const;
     void merge_serialized(std::span<const std::byte> data);
-
-    /// Drop all pane contents and the drop counters (they travel inside
-    /// serialize() buffers, like AggregationDB's record count). The
-    /// watermark stays: records older than an already-retired pane must
-    /// keep dropping after an early flush.
-    void clear();
 
     /// Fold the live panes (ascending pane index) into one result set,
     /// emitted by AggregationDB::flush_rows(). Non-destructive; the fold

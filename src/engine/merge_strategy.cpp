@@ -37,8 +37,7 @@ int merge_strategy_code(MergeStrategy s) noexcept {
 }
 
 MergeStrategy select_merge_strategy(const MergeObservation& obs) noexcept {
-    if (obs.has_aggregation &&
-        (obs.flush_buffers > 0 || obs.total_entries >= radix_min_entries))
+    if (obs.has_aggregation && obs.total_entries >= radix_min_entries)
         return MergeStrategy::Radix;
     return MergeStrategy::Pairwise;
 }
@@ -46,9 +45,6 @@ MergeStrategy select_merge_strategy(const MergeObservation& obs) noexcept {
 std::string merge_strategy_reason(const MergeObservation& obs) {
     if (!obs.has_aggregation)
         return "passthrough or windowed query";
-    if (obs.flush_buffers > 0 && obs.total_entries < radix_min_entries)
-        return grouped(obs.flush_buffers) +
-               (obs.flush_buffers == 1 ? " early flush" : " early flushes");
     return grouped(obs.total_entries) + " partial entries " +
            (obs.total_entries < radix_min_entries ? "< " : ">= ") +
            grouped(radix_min_entries);

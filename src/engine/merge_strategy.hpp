@@ -1,11 +1,10 @@
 // Phase-2 merge strategies for the parallel query engine.
 //
-// Phase 1 produces one partial QueryProcessor per morsel; phase 2 folds
-// them into the root. Both strategies realize the *same* per-key
-// floating-point reduction DAG (fold_stride_doubling over morsel indices,
-// then early-flush buffers in (morsel, flush-sequence) order), so their
-// output bytes are identical — they differ only in how the work is
-// scheduled:
+// Phase 1 produces exactly one partial QueryProcessor per morsel; phase 2
+// folds each of them into the root once. Both strategies realize the
+// *same* per-key floating-point reduction DAG (fold_stride_doubling over
+// morsel indices), so their output bytes are identical — they differ only
+// in how the work is scheduled:
 //
 //   pairwise  the stride merges run serially on the driver thread. No
 //             task overhead; best for small group counts.
@@ -18,9 +17,9 @@
 //             table thrashes.
 //
 // The adaptive selector picks one per query from cardinality observed at
-// the end of phase 1. Its inputs (per-partial entry counts, flush counts)
-// are functions of the input set only — never the thread count — so the
-// choice, like the strategies themselves, cannot perturb output bytes.
+// the end of phase 1. Its input (the partials' entry count) is a function
+// of the input set only — never the thread count — so the choice, like
+// the strategies themselves, cannot perturb output bytes.
 // docs/ENGINE.md has the full determinism argument.
 #pragma once
 
@@ -39,7 +38,7 @@ enum class MergeStrategy : std::uint8_t {
 };
 
 /// The selector picks radix for an aggregation whose partials hold at
-/// least this many entries in total (live plus early-flushed).
+/// least this many entries in total.
 constexpr std::size_t radix_min_entries = std::size_t(1) << 16;
 
 /// The one phase-2 fold schedule: a stride-doubling tree over \a n
@@ -66,20 +65,18 @@ int merge_strategy_code(MergeStrategy s) noexcept;
 /// of the thread count — see the determinism note above.
 struct MergeObservation {
     bool has_aggregation      = false; ///< a plain (unwindowed) group table
-    std::size_t total_entries = 0;     ///< live + early-flushed entries, summed
-    std::size_t flush_buffers = 0;     ///< early-flush buffers across partials
+    std::size_t total_entries = 0;     ///< entries summed over the partials
 };
 
 /// The adaptive policy: radix when the query aggregates and its partials
-/// hold at least radix_min_entries entries in total, or when any partial
-/// early-flushed (cardinality already blew the partial bound); pairwise
-/// otherwise. Passthrough and windowed queries have no group table to
-/// partition, so they always fold pairwise.
+/// hold at least radix_min_entries entries in total; pairwise otherwise.
+/// Passthrough and windowed queries have no group table to partition, so
+/// they always fold pairwise.
 MergeStrategy select_merge_strategy(const MergeObservation& obs) noexcept;
 
 /// Why select_merge_strategy() decides as it does on \a obs, as
-/// `cali-query -s` prints it: "26,815 partial entries < 65,536",
-/// "3 early flushes" or "passthrough or windowed query".
+/// `cali-query -s` prints it: "26,815 partial entries < 65,536" or
+/// "passthrough or windowed query".
 std::string merge_strategy_reason(const MergeObservation& obs);
 
 } // namespace calib::engine

@@ -21,8 +21,6 @@ namespace {
 // records per morsel, from each morsel's partial after phase 1 (the
 // planned bytes are engine.morsel_bytes, recorded by make_morsels)
 obs::Histogram engine_morsel_records("engine.morsel_records");
-obs::Counter engine_early_flushes("engine.early_flushes");
-obs::Counter engine_early_flush_bytes("engine.early_flush_bytes");
 // last run's phase-2 profile: strategy code (0 none, 1 pairwise, 3 radix),
 // the entry total the selector saw, radix partition count, and merge wall
 // time in milliseconds
@@ -116,14 +114,6 @@ void read_morsel(const Morsel& m, AttributeRegistry& registry, std::size_t batch
     }
 }
 
-/// Per-morsel partial state produced in phase 1.
-struct Partial {
-    std::unique_ptr<QueryProcessor> proc;
-    /// Early-flushed aggregation buffers, in flush order. They stay in
-    /// memory until phase 2 folds them in.
-    std::vector<std::vector<std::byte>> flushed;
-};
-
 } // namespace
 
 std::size_t default_batch_size() {
@@ -158,8 +148,7 @@ ParallelQueryProcessor::ParallelQueryProcessor(QuerySpec spec, EngineOptions opt
     if (opts_.agg_memory_budget == static_cast<std::size_t>(-1))
         opts_.agg_memory_budget = default_agg_memory_budget();
     // the budget lives on the root processor: worker partials drain into it
-    // unspilled (early flush caps their live tables, not the buffers they
-    // hold), and the root's sort-spill bounds the merged group table
+    // unspilled, and the root's sort-spill bounds the merged group table
     if (opts_.agg_memory_budget != 0)
         root_.set_aggregation_memory_budget(opts_.agg_memory_budget);
 }
@@ -204,9 +193,9 @@ void ParallelQueryProcessor::run_serial(const Morsel& morsel) {
 void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
                                           std::size_t threads) {
     const std::size_t n = morsels.size();
-    std::vector<Partial> partials(n);
-    for (Partial& p : partials)
-        p.proc = std::make_unique<QueryProcessor>(root_.spec(), &registry_);
+    std::vector<std::unique_ptr<QueryProcessor>> partials(n);
+    for (std::unique_ptr<QueryProcessor>& p : partials)
+        p = std::make_unique<QueryProcessor>(root_.spec(), &registry_);
 
     // byte-range chunks only see their own span, so file-scoped globals are
     // resolved once up front (from the planning scan's metadata index) and
@@ -231,19 +220,11 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
     std::vector<std::future<void>> futures;
     futures.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        futures.push_back(pool.submit([this, &m = morsels[i], &p = partials[i],
+        futures.push_back(pool.submit([this, &m = morsels[i], &proc = *partials[i],
                                        &source_globals] {
-            QueryProcessor& proc = *p.proc;
             read_morsel(m, registry_, opts_.batch_size, opts_.with_globals,
-                        source_globals, [this, &proc, &p](RecordBatch& b) {
-                            proc.add_batch(b);
-                            if (opts_.max_partial_entries > 0 &&
-                                proc.aggregation_entries() > opts_.max_partial_entries) {
-                                std::vector<std::byte> buf = proc.take_partial();
-                                if (!buf.empty())
-                                    p.flushed.push_back(std::move(buf));
-                            }
-                        });
+                        source_globals,
+                        [&proc](RecordBatch& b) { proc.add_batch(b); });
         }));
     }
     wait_all(futures);
@@ -253,28 +234,18 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
     // a plain group table's entries count: nothing else can go radix)
     MergeObservation mobs;
     mobs.has_aggregation = root_.aggregation_db() != nullptr;
-    for (const Partial& p : partials) {
-        engine_morsel_records.record(p.proc->num_records_in());
+    for (const std::unique_ptr<QueryProcessor>& p : partials) {
+        engine_morsel_records.record(p->num_records_in());
         if (mobs.has_aggregation)
-            mobs.total_entries += p.proc->aggregation_entries();
-        for (const std::vector<std::byte>& buf : p.flushed) {
-            stats_.early_flush_bytes += buf.size();
-            if (mobs.has_aggregation)
-                mobs.total_entries += AggregationDB::serialized_entry_count(buf);
-        }
-        stats_.early_flushes += p.flushed.size();
+            mobs.total_entries += p->aggregation_db()->size();
     }
-    mobs.flush_buffers = stats_.early_flushes;
-    engine_early_flushes.add(stats_.early_flushes);
-    engine_early_flush_bytes.add(stats_.early_flush_bytes);
 
     // phase 2: pick a merge strategy from what phase 1 observed, then fold
     // the partials into the root. Both strategies realize the same per-key
-    // reduction DAG — fold_stride_doubling over morsel indices (which keeps
+    // reduction DAG — fold_stride_doubling over morsel indices, which keeps
     // passthrough records in morsel order and depends only on the morsel
-    // count, never the thread count), with early-flush buffers folded in
-    // (morsel, flush-sequence) order — so output bytes are identical
-    // across strategies; only the schedule differs.
+    // count, never the thread count — so output bytes are identical across
+    // strategies; only the schedule differs.
     MergeStrategy strategy = opts_.merge_strategy == MergeStrategy::Adaptive
                                  ? select_merge_strategy(mobs)
                                  : opts_.merge_strategy;
@@ -298,42 +269,30 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
             std::vector<std::future<void>> extract;
             extract.reserve(n);
             for (std::size_t i = 0; i < n; ++i) {
-                extract.push_back(
-                    pool.submit([&pc = pieces[i], &p = partials[i]] {
-                        pc = p.proc->aggregation_db()->extract_partitions(radix_bits);
-                    }));
+                extract.push_back(pool.submit([&pc = pieces[i], &p = *partials[i]] {
+                    pc = p.aggregation_db()->extract_partitions(radix_bits);
+                }));
             }
             wait_all(extract);
         }
         // the databases are now empty, so these merges only fold record
         // counts (in/kept/processed) into the root
-        for (Partial& p : partials)
-            root_.merge(std::move(*p.proc));
-
-        // flush buffers in (morsel, flush-sequence) order, shared read-only
-        // by every partition task
-        std::vector<const std::vector<std::byte>*> flushed;
-        for (const Partial& p : partials)
-            for (const std::vector<std::byte>& buf : p.flushed)
-                flushed.push_back(&buf);
+        for (std::unique_ptr<QueryProcessor>& p : partials)
+            root_.merge(std::move(*p));
 
         // one pool task per partition: fold its pieces through the same
         // stride-doubling schedule as pairwise (identical per-key
-        // arithmetic), then replay the flush buffers filtered to this
-        // partition — each task decodes every buffer in full and keeps only
-        // its 1/P share. Partition tables are ~1/P the monolithic size, so
+        // arithmetic). Partition tables are ~1/P the monolithic size, so
         // the fold stays cache-resident at high cardinality.
         std::vector<std::future<void>> tasks;
         tasks.reserve(nparts);
         for (std::size_t part = 0; part < nparts; ++part) {
-            tasks.push_back(pool.submit([&pieces, &flushed, part, n] {
+            tasks.push_back(pool.submit([&pieces, part, n] {
                 obs::SpanTimer span(merge_partition_time);
                 fold_stride_doubling(n, [&pieces, part](std::size_t into,
                                                         std::size_t from) {
                     pieces[into][part].merge(std::move(pieces[from][part]));
                 });
-                for (const std::vector<std::byte>* buf : flushed)
-                    pieces[0][part].merge_serialized(*buf, radix_bits, part);
             }));
         }
         wait_all(tasks);
@@ -359,13 +318,9 @@ void ParallelQueryProcessor::run_parallel(const std::vector<Morsel>& morsels,
         }
     } else {
         fold_stride_doubling(n, [&partials](std::size_t into, std::size_t from) {
-            partials[into].proc->merge(std::move(*partials[from].proc));
+            partials[into]->merge(std::move(*partials[from]));
         });
-        root_.merge(std::move(*partials[0].proc));
-        // early-flushed buffers fold in last, in morsel order (deterministic)
-        for (Partial& p : partials)
-            for (const std::vector<std::byte>& buf : p.flushed)
-                root_.merge_serialized(buf);
+        root_.merge(std::move(*partials[0]));
     }
 
     stats_.merge_strategy = strategy;

@@ -17,11 +17,9 @@
 // formatting (see QueryProcessor::result()). docs/ENGINE.md and
 // docs/CORRECTNESS.md have the full argument.
 //
-// Early flush caps a worker's live hash table on high-cardinality keys:
-// when a partial database exceeds max_partial_entries, it is serialized
-// and cleared. It does not bound the worker's memory: every flushed
-// buffer stays in memory (Partial::flushed) until phase 2 folds it in,
-// after the reduction, in morsel order, so determinism is unaffected.
+// Each morsel yields exactly one partial, and phase 2 folds each partial
+// once. Workers never spill; the aggregation memory budget applies to the
+// root, whose sort-spill bounds the merged group table.
 #pragma once
 
 #include "merge_strategy.hpp"
@@ -53,10 +51,6 @@ struct EngineOptions {
     /// this size (see make_morsels). 0 gives one morsel per file and never
     /// splits. The plan depends only on the input set and this target.
     std::size_t bytes_per_morsel = default_bytes_per_morsel;
-    /// Early-flush a worker partial exceeding this many aggregation
-    /// entries (0 disables). This caps the live table, not the bytes held:
-    /// flushed buffers stay in memory until phase 2.
-    std::size_t max_partial_entries = 1u << 20;
     /// Rows per RecordBatch; 0 = default_batch_size() (CALIB_BATCH_SIZE or
     /// 1024). Clamped to [1, 1<<20]. Output bytes are identical for every
     /// batch size; the fuzz differential runner guards it.
@@ -88,14 +82,16 @@ void set_default_agg_memory_budget(std::size_t bytes);
 struct EngineStats {
     std::size_t threads           = 0; ///< workers actually used
     std::size_t morsels           = 0;
+    /// Always 0: the engine has no early flush (each morsel yields one
+    /// partial, folded once). Kept only because perfbench/src/offline.cpp
+    /// still reads it.
     std::size_t early_flushes     = 0;
-    std::uint64_t early_flush_bytes = 0;
     /// Phase-2 strategy actually executed: Pairwise or Radix, or Adaptive
     /// when no merge phase ran (the single-morsel serial path).
     MergeStrategy merge_strategy = MergeStrategy::Adaptive;
-    /// Entries the selector saw across the partials' group tables, live
-    /// plus early-flushed (0 when no merge phase ran, and for passthrough
-    /// and windowed queries, which always merge pairwise).
+    /// Entries the selector saw across the partials' group tables (0 when
+    /// no merge phase ran, and for passthrough and windowed queries, which
+    /// always merge pairwise).
     std::size_t merge_entries = 0;
     /// Radix partition count (0 unless the radix strategy ran).
     std::size_t merge_partitions = 0;

@@ -33,27 +33,41 @@ std::uint64_t combine(std::uint64_t a, std::uint64_t b, Comm::ReduceOp op) {
     return a;
 }
 
-/// Binomial-tree reduction to rank 0 in a zero-based rank space, then an
-/// optional rotation for non-zero roots. Ranks with bit k set at step k
-/// send their partial value to (rank - 2^k); the others receive and fold.
+/// binomial_reduce() of one value to rank 0. Non-root ranks return their
+/// partial value only (callers forward or bcast if needed).
 template <typename T>
-T binomial_reduce(Comm& comm, T value, Comm::ReduceOp op) {
-    const int rank = comm.rank();
-    const int size = comm.size();
-    for (int step = 1; step < size; step <<= 1) {
-        if (rank & step) {
-            comm.send_value(rank - step, tag_reduce, value);
-            return value; // partial only; callers bcast if needed
-        }
-        if (rank + step < size) {
-            const T other = comm.template recv_value<T>(rank + step, tag_reduce);
-            value         = combine(value, other, op);
-        }
-    }
+T reduce_value(Comm& comm, T value, Comm::ReduceOp op) {
+    binomial_reduce(
+        comm, 0, tag_reduce,
+        [&value] {
+            std::vector<std::byte> bytes(sizeof(T));
+            std::memcpy(bytes.data(), &value, sizeof(T));
+            return bytes;
+        },
+        [&value, op](std::span<const std::byte> bytes) {
+            T other{};
+            std::memcpy(&other, bytes.data(), std::min(bytes.size(), sizeof(T)));
+            value = combine(value, other, op);
+        });
     return value;
 }
 
 } // namespace
+
+void binomial_reduce(Comm& comm, int root, int tag,
+                     const std::function<std::vector<std::byte>()>& payload,
+                     const std::function<void(std::span<const std::byte>)>& fold) {
+    const int size  = comm.size();
+    const int vrank = (comm.rank() - root + size) % size;
+    for (int step = 1; step < size; step <<= 1) {
+        if (vrank & step) {
+            comm.send((vrank - step + root) % size, tag, payload());
+            return; // this rank's partial is on its way up the tree
+        }
+        if (vrank + step < size)
+            fold(comm.recv((vrank + step + root) % size, tag).payload);
+    }
+}
 
 void Comm::bcast(std::vector<std::byte>& data, int root) {
     const int size = this->size();
@@ -79,7 +93,7 @@ void Comm::bcast(std::vector<std::byte>& data, int root) {
 }
 
 double Comm::reduce(double value, ReduceOp op, int root) {
-    const double partial = binomial_reduce(*this, value, op);
+    const double partial = reduce_value(*this, value, op);
     if (root == 0)
         return partial;
     // forward the final value from rank 0 to the requested root
@@ -91,7 +105,7 @@ double Comm::reduce(double value, ReduceOp op, int root) {
 }
 
 double Comm::allreduce(double value, ReduceOp op) {
-    const double partial = binomial_reduce(*this, value, op);
+    const double partial = reduce_value(*this, value, op);
     std::vector<std::byte> buf(sizeof(double));
     if (rank_ == 0)
         std::memcpy(buf.data(), &partial, sizeof(double));
@@ -102,7 +116,7 @@ double Comm::allreduce(double value, ReduceOp op) {
 }
 
 std::uint64_t Comm::reduce(std::uint64_t value, ReduceOp op, int root) {
-    const std::uint64_t partial = binomial_reduce(*this, value, op);
+    const std::uint64_t partial = reduce_value(*this, value, op);
     if (root == 0)
         return partial;
     if (rank_ == 0)
@@ -113,7 +127,7 @@ std::uint64_t Comm::reduce(std::uint64_t value, ReduceOp op, int root) {
 }
 
 std::uint64_t Comm::allreduce(std::uint64_t value, ReduceOp op) {
-    const std::uint64_t partial = binomial_reduce(*this, value, op);
+    const std::uint64_t partial = reduce_value(*this, value, op);
     std::vector<std::byte> buf(sizeof(std::uint64_t));
     if (rank_ == 0)
         std::memcpy(buf.data(), &partial, sizeof(std::uint64_t));

@@ -22,25 +22,14 @@ std::vector<RecordMap> reduce_channel(Comm& comm, Channel* channel, int root) {
         td.channels[channel->id()].aggregation)
         accumulator.merge(*td.channels[channel->id()].aggregation);
 
-    const int rank = comm.rank();
-    const int size = comm.size();
-    const int vrank = (rank - root + size) % size; // rotate root to 0
-
-    for (int step = 1; step < size; step <<= 1) {
-        if (vrank & step) {
-            const int vdest = vrank - step;
-            comm.send((vdest + root) % size, tag_online_reduce,
-                      accumulator.serialize());
-            break; // this rank's partial is on its way up the tree
-        }
-        if (vrank + step < size) {
-            Message m = comm.recv(((vrank + step + root) % size), tag_online_reduce);
-            accumulator.merge_serialized(m.payload);
-        }
-    }
+    binomial_reduce(
+        comm, root, tag_online_reduce, [&accumulator] { return accumulator.serialize(); },
+        [&accumulator](std::span<const std::byte> payload) {
+            accumulator.merge_serialized(payload);
+        });
 
     std::vector<RecordMap> out;
-    if (rank == root)
+    if (comm.rank() == root)
         out = accumulator.flush();
     return out;
 }

@@ -93,6 +93,18 @@ private:
     std::uint64_t messages_sent_ = 0;
 };
 
+/// The binomial-tree reduction to \a root that every simmpi reduction runs
+/// (Comm::reduce/allreduce, parallel_query, reduce_channel). Ranks are
+/// renumbered so \a root is vrank 0. At step 2^k (k = 0, 1, ...) a rank
+/// whose vrank has bit k set sends payload() to vrank - 2^k on \a tag and
+/// is done; every other rank hands the message from vrank + 2^k, when
+/// that rank exists, to fold(). The root thus folds the rank list rotated
+/// to start at \a root in the stride-doubling order of the engine's phase
+/// 2 (engine::fold_stride_doubling). Collective: every rank calls it.
+void binomial_reduce(Comm& comm, int root, int tag,
+                     const std::function<std::vector<std::byte>()>& payload,
+                     const std::function<void(std::span<const std::byte>)>& fold);
+
 /// Run \a fn on \a nprocs rank-threads and join them. Exceptions thrown by
 /// rank functions are captured and rethrown (first one wins).
 void run(int nprocs, const std::function<void(Comm&)>& fn);

@@ -58,18 +58,13 @@ QueryTimes parallel_query(const QuerySpec& spec, const std::vector<std::string>&
 
         // binomial-tree reduction of serialized partial aggregation state
         const std::uint64_t t_reduce = now_ns();
-        for (int step = 1; step < size; step <<= 1) {
-            if (rank & step) {
-                comm.send(rank - step, tag_partial, proc.serialize_partial());
-                break; // this rank's partial is on its way up the tree
-            }
-            if (rank + step < size) {
-                Message m = comm.recv(rank + step, tag_partial);
+        binomial_reduce(
+            comm, 0, tag_partial, [&proc] { return proc.serialize_partial(); },
+            [&proc](std::span<const std::byte> payload) {
                 reduce_merges.add();
-                reduce_bytes.add(m.payload.size());
-                proc.merge_serialized(m.payload);
-            }
-        }
+                reduce_bytes.add(payload.size());
+                proc.merge_serialized(payload);
+            });
         const double reduce_s = seconds_since(t_reduce);
 
         const std::uint64_t in_total =

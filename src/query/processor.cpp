@@ -209,26 +209,6 @@ void QueryProcessor::merge(QueryProcessor&& other) {
     }
 }
 
-std::size_t QueryProcessor::aggregation_entries() const noexcept {
-    return db_ ? db_->size() : wdb_ ? wdb_->entries() : 0;
-}
-
-std::vector<std::byte> QueryProcessor::take_partial() {
-    if (db_ && !db_->empty()) {
-        // the record count travels inside the buffer (db.processed_);
-        // in_/kept_ stay here so they are counted exactly once
-        std::vector<std::byte> buf = db_->serialize();
-        db_->clear();
-        return buf;
-    }
-    if (wdb_ && !wdb_->empty()) {
-        std::vector<std::byte> buf = wdb_->serialize();
-        wdb_->clear(); // keeps the watermark: late records must stay late
-        return buf;
-    }
-    return {};
-}
-
 std::vector<std::byte> QueryProcessor::serialize_partial() const {
     if (db_)
         return db_->serialize();

@@ -75,16 +75,12 @@ public:
     std::vector<std::byte> serialize_partial() const;
     void merge_serialized(std::span<const std::byte> data);
 
-    /// Number of aggregation entries held (0 without aggregation). The
-    /// parallel engine's early-flush check watches this.
-    std::size_t aggregation_entries() const noexcept;
-
     /// Direct access to the aggregation database (nullptr without
     /// aggregation, and nullptr for windowed queries — the pane ring is
-    /// not one monolithic table, so the radix merge demotes to tree). The
-    /// parallel engine's radix merge extracts hash partitions from worker
-    /// partials and absorbs the folded partitions into the root through
-    /// this.
+    /// not one monolithic table, so the radix merge demotes to pairwise).
+    /// The parallel engine's merge selector sizes worker partials through
+    /// this, and its radix merge extracts hash partitions from them and
+    /// absorbs the folded partitions into the root.
     AggregationDB* aggregation_db() noexcept { return db_ ? &*db_ : nullptr; }
     const AggregationDB* aggregation_db() const noexcept {
         return db_ ? &*db_ : nullptr;
@@ -95,12 +91,6 @@ public:
     const WindowedAggregator* windowed_db() const noexcept {
         return wdb_ ? &*wdb_ : nullptr;
     }
-
-    /// Early flush: serialize the partial aggregation state and clear it,
-    /// bounding worker memory on high-cardinality keys. Returns an empty
-    /// buffer when there is no aggregation (or nothing to flush); record
-    /// counts stay on the processor.
-    std::vector<std::byte> take_partial();
 
     /// Finish the query and return its rows. Idempotent. Aggregated rows
     /// are ordered by the ORDER BY values, then canonically: by their

@@ -311,7 +311,6 @@ int main(int argc, char** argv) {
                 calib::engine::MergeObservation seen;
                 seen.has_aggregation = proc.aggregation_db() != nullptr;
                 seen.total_entries   = es.merge_entries;
-                seen.flush_buffers   = es.early_flushes;
                 std::string why = calib::engine::merge_strategy_reason(seen);
                 if (es.merge_partitions != 0)
                     why += "; " + std::to_string(es.merge_partitions) + " partitions";

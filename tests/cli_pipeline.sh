@@ -104,6 +104,13 @@ grep -q "\"name\": \"engine.merge_partitions\", \"value\": 16" sel_star.json || 
     echo "engine.merge_partitions gauge missing for radix"; exit 1; }
 grep -q "\"name\": \"engine.merge_entries\", \"value\": 120000" sel_star.json || {
     echo "engine.merge_entries gauge: expected 120000"; exit 1; }
+# each morsel yields one partial, so the output depends on the morsel plan
+# alone: the radix-merged star query is byte-identical at every batch size
+for bs in 1 7; do
+    "$CALI_QUERY" -t 4 --batch-size "$bs" -q "$star_q" pdbig/*.cali > sel_star_bs.csv
+    cmp sel_star_t4.csv sel_star_bs.csv || {
+        echo "GROUP BY *: --batch-size $bs differs"; exit 1; }
+done
 expect_merge kernel "$kernel_q" pairwise 1
 grep -q "partial entries < 65,536)" sel_kernel_stats.txt || {
     echo "pairwise: -s should say why:"; grep "merge strategy" sel_kernel_stats.txt

@@ -632,56 +632,6 @@ TEST(ParallelDifferential, JsonInput) {
                            files, opts);
 }
 
-// ---------------------------------------------------------------- early flush
-
-TEST(EarlyFlush, BoundsPartialsWithoutChangingResults) {
-    TempDir dir("early-flush");
-    std::vector<std::string> files;
-    for (int f = 0; f < 4; ++f) {
-        files.push_back(dir.file("h" + std::to_string(f) + ".cali"));
-        write_cali(files.back(), 300, f * 300); // unique ids: high cardinality
-    }
-    const std::string query = "AGGREGATE sum(count) GROUP BY * FORMAT csv";
-
-    // one morsel per file: early flushes happen in phase-1 partials
-    EngineOptions plain;
-    plain.threads            = 1;
-    plain.bytes_per_morsel   = 0;
-    const std::string serial = run_engine(query, files, plain);
-
-    EngineOptions flushing;
-    flushing.threads             = 4;
-    flushing.bytes_per_morsel    = 0;
-    flushing.max_partial_entries = 16; // force many flushes
-    EngineStats stats;
-    const std::string flushed = run_engine(query, files, flushing, &stats);
-
-    EXPECT_EQ(serial, flushed);
-    EXPECT_EQ(stats.morsels, 4u);
-    EXPECT_GT(stats.early_flushes, 0u);
-    EXPECT_GT(stats.early_flush_bytes, 0u);
-}
-
-TEST(EarlyFlush, RecordCountsSurviveFlushing) {
-    TempDir dir("early-counts");
-    std::vector<std::string> files;
-    for (int f = 0; f < 2; ++f) {
-        files.push_back(dir.file("c" + std::to_string(f) + ".cali"));
-        write_cali(files.back(), 200, f * 200);
-    }
-    EngineOptions opts;
-    opts.threads             = 2;
-    opts.bytes_per_morsel    = 0; // one morsel per file
-    opts.max_partial_entries = 8;
-    ParallelQueryProcessor eng(
-        parse_calql("AGGREGATE count GROUP BY * FORMAT csv"), opts);
-    QueryProcessor& proc = eng.run(files);
-    EXPECT_GT(eng.stats().early_flushes, 0u);
-    EXPECT_EQ(proc.num_records_in(), 400u);
-    EXPECT_EQ(proc.num_records_kept(), 400u);
-    EXPECT_EQ(proc.result().size(), 400u); // unique ids -> 1 row per record
-}
-
 // ------------------------------------------------------------- engine stats
 
 TEST(EngineStats, ReportsThreadsAndMorsels) {
@@ -890,8 +840,8 @@ TEST(MergeStrategies, AllStrategiesByteIdenticalAcrossThreadCounts) {
     }
 }
 
-TEST(MergeStrategies, EarlyFlushByteIdenticalForEveryStrategy) {
-    TempDir dir("merge-flush");
+TEST(MergeStrategies, OnePartialPerMorselByteIdenticalForEveryStrategy) {
+    TempDir dir("merge-partials");
     const std::vector<std::string> files = write_strategy_input(dir);
     const std::string query =
         "AGGREGATE sum(count),count GROUP BY id ORDER BY id FORMAT csv";
@@ -904,15 +854,17 @@ TEST(MergeStrategies, EarlyFlushByteIdenticalForEveryStrategy) {
 
     for (MergeStrategy s : kStrategies) {
         EngineOptions opts;
-        opts.bytes_per_morsel    = 0;
-        opts.merge_strategy      = s;
-        opts.max_partial_entries = 64; // force many flush buffers
+        opts.bytes_per_morsel = 0;
+        opts.merge_strategy   = s;
         for (std::size_t t : {std::size_t(2), std::size_t(4)}) {
             opts.threads = t;
             EngineStats stats;
             EXPECT_EQ(serial, run_engine(query, files, opts, &stats))
-                << merge_strategy_name(s) << " t" << t << " with early flush";
-            EXPECT_GT(stats.early_flushes, 0u) << merge_strategy_name(s);
+                << merge_strategy_name(s) << " t" << t;
+            // four morsels, four partials of 250 groups each, folded once
+            EXPECT_EQ(stats.morsels, 4u) << merge_strategy_name(s);
+            EXPECT_EQ(stats.merge_entries, 1000u) << merge_strategy_name(s);
+            EXPECT_EQ(stats.early_flushes, 0u) << merge_strategy_name(s);
         }
     }
 }
@@ -964,16 +916,9 @@ TEST(MergeStrategies, AdaptiveSelectorPicksByCardinality) {
         EXPECT_EQ(merge_strategy_reason(obs), why);
     }
 
-    // an early flush means cardinality already blew the partial bound
-    obs.total_entries = 10;
-    obs.flush_buffers = 1;
-    EXPECT_EQ(select_merge_strategy(obs), MergeStrategy::Radix);
-    EXPECT_EQ(merge_strategy_reason(obs), "1 early flush");
-
     // passthrough and windowed queries have no group table to partition
     obs.has_aggregation = false;
     obs.total_entries   = 1000000;
-    obs.flush_buffers   = 0;
     EXPECT_EQ(select_merge_strategy(obs), MergeStrategy::Pairwise);
     EXPECT_EQ(merge_strategy_reason(obs), "passthrough or windowed query");
 }

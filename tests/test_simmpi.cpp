@@ -1,6 +1,7 @@
 // simmpi message-passing runtime tests: point-to-point semantics,
 // wildcards, barrier, and collectives, swept over rank counts including
 // non-powers of two.
+#include "engine/merge_strategy.hpp"
 #include "mpisim/runtime.hpp"
 #include "mpisim/wrapper.hpp"
 #include "runtime/caliper.hpp"
@@ -205,6 +206,45 @@ TEST_P(SimMpiCollectives, GatherCollectsInRankOrder) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, SimMpiCollectives,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16));
+
+TEST(SimMpi, BinomialReduceFoldsInEngineOrder) {
+    // merge(a, b) = "(a b)" is neither commutative nor associative, so the
+    // root's string spells out the whole fold DAG: which partial merged
+    // into which, and when
+    const auto merge = [](std::string& into, std::string_view from) {
+        into = "(" + into + " " + std::string(from) + ")";
+    };
+    for (int nprocs : {1, 2, 3, 5, 8, 13}) {
+        for (int root : {0, nprocs - 1}) {
+            std::string got;
+            run(nprocs, [&](Comm& comm) {
+                std::string acc = std::to_string(comm.rank());
+                binomial_reduce(
+                    comm, root, /*tag=*/7,
+                    [&acc] {
+                        const std::span<const std::byte> b = bytes_of(acc);
+                        return std::vector<std::byte>(b.begin(), b.end());
+                    },
+                    [&](std::span<const std::byte> payload) {
+                        merge(acc, {reinterpret_cast<const char*>(payload.data()),
+                                    payload.size()});
+                    });
+                if (comm.rank() == root)
+                    got = acc;
+            });
+            // the engine's phase-2 schedule over the rank list rotated to
+            // start at the root
+            std::vector<std::string> want;
+            for (int i = 0; i < nprocs; ++i)
+                want.push_back(std::to_string((root + i) % nprocs));
+            calib::engine::fold_stride_doubling(
+                want.size(), [&](std::size_t into, std::size_t from) {
+                    merge(want[into], want[from]);
+                });
+            EXPECT_EQ(got, want.front()) << nprocs << " ranks, root " << root;
+        }
+    }
+}
 
 TEST(CaliCommWrapper, AnnotatesMpiFunctions) {
     using calib::Caliper;

@@ -193,19 +193,6 @@ TEST_F(WindowTest, MissingAndNonNumericTimestampsDropAndCount) {
     EXPECT_EQ(agg.dropped_no_time(), 3u);
 }
 
-TEST_F(WindowTest, ClearKeepsWatermarkSoLateStaysLate) {
-    WindowedAggregator agg(AggregationConfig::parse("count", "kernel"),
-                           window(10), &registry);
-    process(agg, rec(55, "a")); // watermark pane 5
-    agg.clear();               // early flush drops contents, keeps watermark
-    EXPECT_TRUE(agg.empty());
-    EXPECT_EQ(agg.watermark(), std::optional<std::int64_t>(5));
-
-    process(agg, rec(5, "b")); // pane 0: late relative to the kept watermark
-    EXPECT_TRUE(agg.empty());
-    EXPECT_EQ(agg.dropped_late(), 1u);
-}
-
 TEST_F(WindowTest, SerializeRoundTripMatchesDirect) {
     const auto cfg = AggregationConfig::parse("count,sum(v)", "kernel");
     WindowedAggregator direct(cfg, window(30, 10), &registry);
@@ -483,8 +470,8 @@ TEST(WindowEngine, ByteIdenticalAcrossThreadsStrategiesAndBatchSizes) {
     }
 }
 
-TEST(WindowEngine, EarlyFlushKeepsWindowSemantics) {
-    TempDir dir("window-flush");
+TEST(WindowEngine, OnePartialPerFileKeepsWindowSemantics) {
+    TempDir dir("window-partials");
     std::vector<std::string> files;
     for (int f = 0; f < 2; ++f) {
         files.push_back(dir.file("t" + std::to_string(f) + ".cali"));
@@ -498,10 +485,9 @@ TEST(WindowEngine, EarlyFlushKeepsWindowSemantics) {
     base.bytes_per_morsel    = 0; // one morsel per file
     const std::string golden = run_engine(query, files, base);
 
-    engine::EngineOptions flushy = base;
-    flushy.threads             = 4;
-    flushy.max_partial_entries = 2; // force early flushes constantly
-    EXPECT_EQ(run_engine(query, files, flushy), golden);
+    engine::EngineOptions parallel = base;
+    parallel.threads               = 4;
+    EXPECT_EQ(run_engine(query, files, parallel), golden);
 }
 
 TEST(WindowEngine, MatchesPerWindowOracle) {
