@@ -168,6 +168,11 @@ AggregationDB::AggregationDB(AggregationConfig config, AttributeRegistry* regist
     key_ids_.assign(config_.key.attributes.size(), invalid_id);
     op_ids_.assign(config_.ops.size(), invalid_id);
     op_fallback_ids_.assign(config_.ops.size(), invalid_id);
+    // re-aggregating already-aggregated profiles: sum(x) also accepts a
+    // "sum#x" input column (paper §VI-B second stage)
+    op_fallback_labels_.reserve(config_.ops.size());
+    for (const AggOpConfig& op : config_.ops)
+        op_fallback_labels_.push_back(AggOpConfig{op.op, op.attribute, ""}.result_label());
 
     op_state_offsets_.reserve(config_.ops.size());
     for (const AggOpConfig& op : config_.ops) {
@@ -274,6 +279,7 @@ void AggregationDB::spill_current_run() {
 
     // restart the live table; processed count, stats, and resolution state
     // carry over
+    ++key_epoch_;
     key_arena_.clear();
     state_arena_.clear();
     entries_.clear();
@@ -299,64 +305,72 @@ void AggregationDB::grow_for(std::size_t entries) {
     reserve(target);
 }
 
-void AggregationDB::resolve_ids() {
+void AggregationDB::resolve() {
     const std::size_t gen = registry_->generation();
-    if (fully_resolved_ || gen == resolved_generation_)
+    if (gen == resolved_generation_)
         return;
     resolved_generation_ = gen;
 
-    bool all     = true;
     bool changed = false;
-    for (std::size_t i = 0; i < config_.key.attributes.size(); ++i) {
-        if (key_ids_[i] == invalid_id) {
-            Attribute a = registry_->find(config_.key.attributes[i]);
-            if (a.valid()) {
-                key_ids_[i] = a.id();
-                changed     = true;
-            } else {
-                all = false;
+    if (!fully_resolved_) {
+        bool all = true;
+        for (std::size_t i = 0; i < config_.key.attributes.size(); ++i) {
+            if (key_ids_[i] == invalid_id) {
+                Attribute a = registry_->find(config_.key.attributes[i]);
+                if (a.valid()) {
+                    key_ids_[i] = a.id();
+                    if (a.is_value())
+                        key_value_positions_.push_back(static_cast<std::uint32_t>(i));
+                    changed = true;
+                } else {
+                    all = false;
+                }
             }
         }
+        for (std::size_t i = 0; i < config_.ops.size(); ++i) {
+            if (agg_op_is_nullary(config_.ops[i].op))
+                continue;
+            if (op_ids_[i] == invalid_id) {
+                Attribute a = registry_->find(config_.ops[i].attribute);
+                if (a.valid()) {
+                    op_ids_[i] = a.id();
+                    changed    = true;
+                } else {
+                    all = false;
+                }
+            }
+            if (op_fallback_ids_[i] == invalid_id) {
+                Attribute a = registry_->find(op_fallback_labels_[i]);
+                if (a.valid()) {
+                    op_fallback_ids_[i] = a.id();
+                    changed             = true;
+                } else {
+                    all = false;
+                }
+            }
+        }
+        fully_resolved_ = all;
     }
-    for (std::size_t i = 0; i < config_.ops.size(); ++i) {
-        const AggOpConfig& op = config_.ops[i];
-        if (agg_op_is_nullary(op.op))
-            continue;
-        if (op_ids_[i] == invalid_id) {
-            Attribute a = registry_->find(op.attribute);
-            if (a.valid()) {
-                op_ids_[i] = a.id();
-                changed    = true;
-            } else {
-                all = false;
-            }
-        }
-        if (op_fallback_ids_[i] == invalid_id) {
-            // allow re-aggregating already-aggregated profiles: sum(x) also
-            // accepts a "sum#x" input column (paper §VI-B second stage)
-            Attribute a =
-                registry_->find(AggOpConfig{op.op, op.attribute, ""}.result_label());
-            if (a.valid()) {
-                op_fallback_ids_[i] = a.id();
-                changed             = true;
-            } else {
-                all = false;
-            }
-        }
-    }
-    // newly resolved targets invalidate the implicit-key skip cache
-    if (changed)
+    if (changed) {
+        // newly resolved targets invalidate the implicit-key skip cache
         std::fill(implicit_skip_.begin(), implicit_skip_.end(),
                   static_cast<std::uint8_t>(2));
-    fully_resolved_ = all;
+        ++key_epoch_;
+    }
+    if (!config_.key.all)
+        return;
+    // classify every attribute defined so far, so the snapshot path reads
+    // implicit-key flags without touching the registry
+    if (implicit_skip_.size() < gen)
+        implicit_skip_.resize(gen, 2);
+    for (std::size_t id = 0; id < gen; ++id)
+        if (implicit_skip_[id] == 2)
+            skip_in_implicit_key(static_cast<id_t>(id));
 }
 
 bool AggregationDB::skip_in_implicit_key(id_t attr) {
-    if (attr >= implicit_skip_.size()) {
-        const std::size_t old = implicit_skip_.size();
+    if (attr >= implicit_skip_.size())
         implicit_skip_.resize(attr + 1, 2); // 2 = unknown
-        (void)old;
-    }
     std::uint8_t& flag = implicit_skip_[attr];
     if (flag == 2) {
         Attribute a = registry_->get(attr);
@@ -380,13 +394,18 @@ bool AggregationDB::skip_in_implicit_key(id_t attr) {
 }
 
 void AggregationDB::process(std::span<const Entry> record, std::uint64_t copies) {
-    resolve_ids();
+    resolve();
+    fold(record, copies);
+}
 
+std::size_t AggregationDB::fold(std::span<const Entry> record, std::uint64_t copies) {
     // mirror snapshot capacity: entries beyond max_entries are dropped
     if (record.size() > SnapshotRecord::max_entries)
         record = record.first(SnapshotRecord::max_entries);
 
-    Entry key[SnapshotRecord::max_entries];
+    // uninitialized: only the key_len built entries are ever read
+    alignas(Entry) unsigned char key_storage[SnapshotRecord::max_entries * sizeof(Entry)];
+    Entry* const key    = reinterpret_cast<Entry*>(key_storage);
     std::size_t key_len = 0;
 
     if (config_.key.all) {
@@ -394,10 +413,16 @@ void AggregationDB::process(std::span<const Entry> record, std::uint64_t copies)
             if (!skip_in_implicit_key(e.attribute))
                 key[key_len++] = e;
         // stable: duplicate attributes keep their record order, so two
-        // records with the same entry multiset always map to the same key
-        std::stable_sort(key, key + key_len, [](const Entry& a, const Entry& b) {
-            return a.attribute < b.attribute;
-        });
+        // records with the same entry multiset always map to the same key.
+        // Insertion sort: keys are short and mostly sorted already, and
+        // unlike std::stable_sort it never allocates (signal handler path)
+        for (std::size_t i = 1; i < key_len; ++i) {
+            const Entry e = key[i];
+            std::size_t j = i;
+            for (; j > 0 && key[j - 1].attribute > e.attribute; --j)
+                key[j] = key[j - 1];
+            key[j] = e;
+        }
     } else {
         for (std::size_t i = 0; i < key_ids_.size(); ++i) {
             const id_t attr = key_ids_[i];
@@ -423,14 +448,79 @@ void AggregationDB::process(std::span<const Entry> record, std::uint64_t copies)
         --copies;
     }
     update_ops(index, record, copies);
-    maybe_spill();
+    if (spill_limit_ != 0 && entries_.size() >= spill_limit_) {
+        spill_current_run();
+        return npos;
+    }
+    return index;
+}
+
+bool AggregationDB::is_key_attribute(id_t attr) const noexcept {
+    if (config_.key.all)
+        return attr < implicit_skip_.size() && implicit_skip_[attr] == 0;
+    for (const id_t k : key_ids_)
+        if (k == attr)
+            return true;
+    return false;
+}
+
+bool AggregationDB::group_key_matches(std::size_t group, std::span<const Entry> record,
+                                      std::size_t capture_begin) const noexcept {
+    const EntryRec& rec = entries_[group];
+    const Entry* key    = key_arena_.data() + rec.key_offset;
+    if (config_.key.all) {
+        // the key is the capture minus the skipped attributes (entries
+        // before the capture are all skipped, and the capture is sorted);
+        // the node fixes its nested entries, so this compares the
+        // immediates, and catches one that ended or appeared since
+        std::size_t k = 0;
+        for (const Entry& e : record.subspan(capture_begin)) {
+            if (e.attribute >= implicit_skip_.size() || implicit_skip_[e.attribute] != 0)
+                continue;
+            if (k == rec.key_len || !(key[k] == e))
+                return false;
+            ++k;
+        }
+        return k == rec.key_len;
+    }
+    // key list: nested positions follow from the node; compare the
+    // as_value ones, canonicalized like fold() builds them
+    for (const std::uint32_t pos : key_value_positions_) {
+        const id_t attr  = key_ids_[pos];
+        const Variant* v = find_entry(record, attr);
+        const Entry want =
+            v && !v->empty() ? Entry(attr, *v) : Entry(invalid_id, Variant());
+        if (!(key[pos] == want))
+            return false;
+    }
+    return true;
+}
+
+std::size_t AggregationDB::process_snapshot(std::span<const Entry> record,
+                                            std::size_t capture_begin,
+                                            std::size_t group) {
+    bool memoizable = spill_limit_ == 0 && capture_begin <= record.size() &&
+                      record.size() <= SnapshotRecord::max_entries;
+    for (std::size_t i = 0; memoizable && i < capture_begin; ++i)
+        memoizable = !is_key_attribute(record[i].attribute);
+    if (memoizable && group < entries_.size() &&
+        group_key_matches(group, record, capture_begin)) {
+        ++stats_.lookups; // a memo hit still counts as one key lookup
+        aggdb_lookups.add();
+        ++processed_;
+        aggdb_records.add();
+        update_ops(group, record, 1);
+        return group;
+    }
+    const std::size_t index = fold(record, 1);
+    return memoizable ? index : npos;
 }
 
 void AggregationDB::process_batch(const RecordBatch& batch,
                                   std::span<const std::uint32_t> selection) {
     if (selection.empty())
         return;
-    resolve_ids();
+    resolve();
 
     // resolve key and op attributes to columns once per batch (stream
     // causality makes this equivalent to per-record resolution: a record
@@ -442,7 +532,7 @@ void AggregationDB::process_batch(const RecordBatch& batch,
             if (!skip_in_implicit_key(batch.column_at(ci).attribute))
                 key_plan_.push_back(static_cast<std::uint32_t>(ci));
         // column attributes are unique, so a plain sort matches the record
-        // path's stable_sort over per-record entries
+        // path's stable sort over per-record entries
         std::sort(key_plan_.begin(), key_plan_.end(),
                   [&batch](std::uint32_t a, std::uint32_t b) {
                       return batch.column_at(a).attribute < batch.column_at(b).attribute;
@@ -925,9 +1015,11 @@ void AggregationDB::merge(AggregationDB&& other) {
         entries_.swap(other.entries_);
         table_.swap(other.table_);
         key_ids_.swap(other.key_ids_);
+        key_value_positions_.swap(other.key_value_positions_);
         op_ids_.swap(other.op_ids_);
         op_fallback_ids_.swap(other.op_fallback_ids_);
         implicit_skip_.swap(other.implicit_skip_);
+        ++key_epoch_;
         std::swap(resolved_generation_, other.resolved_generation_);
         std::swap(fully_resolved_, other.fully_resolved_);
         processed_ += other.processed_;
@@ -1177,6 +1269,7 @@ void AggregationDB::merge_serialized(std::span<const std::byte> data) {
 }
 
 void AggregationDB::clear() {
+    ++key_epoch_;
     key_arena_.clear();
     state_arena_.clear();
     entries_.clear();

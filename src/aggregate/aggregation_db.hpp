@@ -43,6 +43,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace calib {
@@ -79,6 +80,36 @@ public:
 
     /// Fold one id-based record (a daemon fold, a batch overflow row).
     void process(const IdRecord& record) { process(record.span()); }
+
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    /// Resolve the key and op attribute names the registry defines by now
+    /// and, for `*` keys, classify every attribute it defines (process()
+    /// does this itself). Takes the registry's lock when attributes were
+    /// created since the last call, so callers in signal context skip it.
+    void resolve();
+
+    /// Changes whenever a group index or the key a record maps to may have
+    /// changed meaning: new id resolutions, clear(), a spill, a merge that
+    /// steals the arenas. Memos of group indices are valid within an epoch.
+    std::uint64_t key_epoch() const noexcept { return key_epoch_; }
+
+    /// The runtime's snapshot fold (aggregate service). \a record is a
+    /// blackboard capture from \a capture_begin on, after trigger and
+    /// service entries; \a group is the group the caller memoized for the
+    /// capture's context node (npos: none). When \a group holds and its
+    /// key's as_value part equals \a record's (for `*`, its whole filtered
+    /// capture), the ops fold into it with no key build, hash or probe;
+    /// otherwise \a record takes process()'s path. Either way it counts
+    /// as one processed record and one lookup. Never resolves ids, so it
+    /// touches the registry only for an attribute created after the last
+    /// resolve(): call resolve() first outside signal context (inside it,
+    /// the blackboard updates that put the attributes there resolved
+    /// them). Returns the group to memoize for the context node, or npos
+    /// when \a record's key does not follow from that node: an entry
+    /// before the capture is a key attribute, or a memory budget is set.
+    std::size_t process_snapshot(std::span<const Entry> record,
+                                 std::size_t capture_begin, std::size_t group);
 
     /// Fold the selected rows of a record batch (columnar hot path): key
     /// and op attributes resolve to columns once, then a tight probe +
@@ -189,8 +220,16 @@ private:
         std::uint32_t len;
     };
 
-    void resolve_ids();
     bool skip_in_implicit_key(id_t attr);
+    /// process() after resolution: build the key, probe, update the ops.
+    /// Returns the group index, or npos when the fold spilled the table.
+    std::size_t fold(std::span<const Entry> record, std::uint64_t copies);
+    /// True when \a attr can enter this database's key, as of the last
+    /// resolve().
+    bool is_key_attribute(id_t attr) const noexcept;
+    /// process_snapshot()'s memo check, see there.
+    bool group_key_matches(std::size_t group, std::span<const Entry> record,
+                           std::size_t capture_begin) const noexcept;
     std::size_t find_or_insert(const Entry* key, std::size_t key_len, std::uint64_t hash);
     void grow_table(std::size_t min_slots);
     /// Make room for \a entries entries (capped at the spill limit) before
@@ -225,12 +264,17 @@ private:
 
     // lazily resolved attribute ids (invalid_id until the attribute exists)
     std::vector<id_t> key_ids_;
+    std::vector<std::uint32_t> key_value_positions_; // key_ids_ of as_value attributes
     std::vector<id_t> op_ids_;          // targets
     std::vector<id_t> op_fallback_ids_; // result-label fallbacks (re-aggregation)
+    std::vector<std::string> op_fallback_labels_; // their labels, built once
     std::size_t resolved_generation_ = static_cast<std::size_t>(-1);
     bool fully_resolved_             = false;
+    std::uint64_t key_epoch_         = 0;
 
-    // per-attribute-id flag cache for implicit ("group by everything") keys
+    // per-attribute-id flag cache for implicit ("group by everything")
+    // keys: 0 key, 1 skipped, 2 unknown; resolve() classifies every
+    // attribute the registry defines
     std::vector<std::uint8_t> implicit_skip_;
 
     std::vector<std::size_t> op_state_offsets_; // u64 words within an entry block

@@ -94,7 +94,20 @@ public:
     /// compare by bit pattern, so NaN == NaN and +0.0 != -0.0. This is the
     /// relation aggregation keys group by; numeric *ordering* lives in
     /// compare().
-    bool operator==(const Variant& rhs) const noexcept;
+    bool operator==(const Variant& rhs) const noexcept {
+        if (type_ != rhs.type_)
+            return false;
+        switch (type_) {
+        case Type::Empty:  return true;
+        case Type::Bool:   return u_.b == rhs.u_.b;
+        case Type::String: return u_.s == rhs.u_.s; // interned: pointer equality
+        // Doubles compare by bit pattern, matching hash(): NaN is identical
+        // to itself (one NaN group, not one per record) and +0.0/-0.0 are
+        // distinct identities (they hash and format differently). Numeric
+        // *ordering* (compare(), WHERE) still treats +0.0 and -0.0 as equal.
+        default:           return u_.u == rhs.u_.u;
+        }
+    }
     bool operator!=(const Variant& rhs) const noexcept { return !(*this == rhs); }
 
     /// Total order: by type tag, then value. Strings compare by content so

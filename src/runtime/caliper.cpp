@@ -174,23 +174,24 @@ void Caliper::begin(const Attribute& attr, const Variant& value) {
     for (Channel* ch : channels_for(td))
         for (const auto& cb : ch->pre_begin_cbs)
             cb(*this, *ch, td, attr, value);
-    td.stack_for(attr.id()).push_back(value);
+    td.blackboard.begin(attr, value);
     td.in_update = 0;
 }
 
 void Caliper::end(const Attribute& attr) {
     runtime_updates.add();
-    ThreadData& td = thread_data();
-    auto& stack    = td.stack_for(attr.id());
-    if (stack.empty()) {
+    ThreadData& td     = thread_data();
+    const Variant* top = td.blackboard.innermost(attr.id());
+    if (!top) {
         log_warn() << "end(" << attr.name_view() << ") without matching begin";
         return;
     }
-    td.in_update = 1;
+    const Variant value = *top;
+    td.in_update        = 1;
     for (Channel* ch : channels_for(td))
         for (const auto& cb : ch->pre_end_cbs)
-            cb(*this, *ch, td, attr, stack.back());
-    stack.pop_back();
+            cb(*this, *ch, td, attr, value);
+    td.blackboard.end(attr);
     td.in_update = 0;
 }
 
@@ -201,53 +202,33 @@ void Caliper::set(const Attribute& attr, const Variant& value) {
     for (Channel* ch : channels_for(td))
         for (const auto& cb : ch->pre_set_cbs)
             cb(*this, *ch, td, attr, value);
-    auto& stack = td.stack_for(attr.id());
-    if (stack.empty())
-        stack.push_back(value);
-    else
-        stack.back() = value;
+    td.blackboard.set(attr, value);
     td.in_update = 0;
 }
 
 Variant Caliper::current(const Attribute& attr) {
-    ThreadData& td = thread_data();
-    if (attr.id() >= td.blackboard.size())
-        return {};
-    const auto& stack = td.blackboard[attr.id()];
-    return stack.empty() ? Variant() : stack.back();
+    const Variant* v = thread_data().blackboard.innermost(attr.id());
+    return v ? *v : Variant();
 }
 
 std::size_t Caliper::depth(const Attribute& attr) {
-    ThreadData& td = thread_data();
-    if (attr.id() >= td.blackboard.size())
-        return 0;
-    return td.blackboard[attr.id()].size();
+    return thread_data().blackboard.depth(attr.id());
 }
 
 // ---------------------------------------------------------------------------
 // snapshots
 
-void Caliper::capture_blackboard(ThreadData& td, SnapshotRecord& rec) {
-    for (id_t attr = 0; attr < td.blackboard.size(); ++attr) {
-        const auto& stack = td.blackboard[attr];
-        if (!stack.empty())
-            rec.append(attr, stack.back());
-    }
-}
-
 void Caliper::pull_snapshot(SnapshotRecord& out) {
-    capture_blackboard(thread_data(), out);
+    thread_data().blackboard.capture(out);
 }
 
 void Caliper::process_snapshot(Channel* channel, ThreadData& td,
-                               ThreadChannelState& state, SnapshotRecord& rec,
-                               bool from_signal) {
-    (void)from_signal;
+                               ThreadChannelState& state, SnapshotRecord& rec) {
     // relaxed-atomic instruments only: this runs in signal context too
     const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
     for (const auto& cb : channel->snapshot_cbs)
         cb(*this, *channel, td, state, rec);
-    capture_blackboard(td, rec);
+    td.blackboard.capture(rec);
     for (const auto& cb : channel->process_cbs)
         cb(*this, *channel, td, state, rec);
     ++state.num_snapshots;
@@ -263,7 +244,7 @@ void Caliper::push_snapshot(Channel* channel, const SnapshotRecord* trigger) {
         if (trigger)
             for (const Entry& e : *trigger)
                 rec.append(e);
-        process_snapshot(channel, td, td.channel_state(channel->id()), rec, false);
+        process_snapshot(channel, td, td.channel_state(channel->id()), rec);
         return;
     }
     for (Channel* ch : channels_for(td)) {
@@ -271,7 +252,7 @@ void Caliper::push_snapshot(Channel* channel, const SnapshotRecord* trigger) {
         if (trigger)
             for (const Entry& e : *trigger)
                 rec.append(e);
-        process_snapshot(ch, td, td.channel_state(ch->id()), rec, false);
+        process_snapshot(ch, td, td.channel_state(ch->id()), rec);
     }
 }
 
@@ -280,14 +261,16 @@ void Caliper::push_snapshot_from_signal(ThreadData& td) {
         ++td.dropped_samples;
         return;
     }
+    td.in_signal = 1;
     // use the thread's cached channel list verbatim: refreshing it could
     // allocate, which is not allowed in signal context
     for (Channel* ch : td.cached_channels) {
         if (!ch->active() || ch->id() >= td.channels.size())
             continue; // state not initialized on this thread yet
         SnapshotRecord rec;
-        process_snapshot(ch, td, td.channels[ch->id()], rec, true);
+        process_snapshot(ch, td, td.channels[ch->id()], rec);
     }
+    td.in_signal = 0;
 }
 
 // ---------------------------------------------------------------------------

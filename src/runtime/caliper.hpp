@@ -1,7 +1,8 @@
 // The Caliper runtime core (paper §IV-A).
 //
-// Caliper maintains the attribute dictionary, the per-thread blackboard
-// buffers, and the active measurement channels. Instrumentation updates
+// Caliper maintains the attribute dictionary, the per-thread blackboards
+// (a context tree of nested values plus as_value immediates, see
+// blackboard.hpp), and the active measurement channels. Instrumentation updates
 // attributes on the blackboard (begin/end/set); at any time a *snapshot*
 // captures the current blackboard contents plus measurement values into a
 // SnapshotRecord, which is handed to the processing services (aggregation
@@ -128,9 +129,9 @@ public:
 private:
     Caliper();
 
+    /// Service entries, then the blackboard capture, then processing.
     void process_snapshot(Channel* channel, ThreadData& td, ThreadChannelState& state,
-                          SnapshotRecord& rec, bool from_signal);
-    void capture_blackboard(ThreadData& td, SnapshotRecord& rec);
+                          SnapshotRecord& rec);
     ThreadData& register_thread();
 
     /// Hot-path channel list: per-thread cache refreshed on epoch change.

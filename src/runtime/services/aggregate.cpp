@@ -19,6 +19,7 @@
 #include "../../common/log.hpp"
 #include "../../query/calql.hpp"
 
+#include <algorithm>
 #include <memory>
 
 namespace calib {
@@ -89,7 +90,8 @@ void register_aggregate_service() {
         "aggregate", /*priority=*/30, [](Caliper&, Channel& channel) {
             auto cfg = read_config(channel.config());
 
-            auto ensure_state = [cfg](Caliper& c, Channel& ch, ThreadData& td) {
+            auto ensure_state = [cfg](Caliper& c, Channel& ch,
+                                      ThreadData& td) -> ThreadChannelState& {
                 ThreadChannelState& state = td.channel_state(ch.id());
                 if (!state.aggregation) {
                     state.aggregation = std::make_unique<AggregationDB>(
@@ -99,27 +101,62 @@ void register_aggregate_service() {
                         state.aggregation_filter = std::make_unique<SnapshotFilter>(
                             cfg->filters, &c.registry());
                 }
+                state.aggregation->resolve();
+                return state;
             };
 
-            // Initialize per-thread state eagerly on blackboard updates, so
-            // the asynchronous sampler's signal handler never has to
-            // allocate (paper §IV-B: async-signal safety).
-            auto init_cb = [ensure_state](Caliper& c, Channel& ch, ThreadData& td,
-                                          const Attribute&, const Variant&) {
-                ensure_state(c, ch, td);
+            // On every blackboard update: create the per-thread state,
+            // resolve new attributes, and size the context memo to the
+            // tree's capacity, so the asynchronous sampler's signal
+            // handler never allocates, locks or creates state (paper §IV-B:
+            // async-signal safety).
+            auto update_cb = [ensure_state](Caliper& c, Channel& ch, ThreadData& td,
+                                            const Attribute&, const Variant&) {
+                ThreadChannelState& state = ensure_state(c, ch, td);
+                if (state.aggregation_memo.size() < td.blackboard.node_capacity())
+                    state.aggregation_memo.resize(td.blackboard.node_capacity(), 0);
             };
-            channel.pre_begin_cbs.push_back(init_cb);
-            channel.pre_set_cbs.push_back(init_cb);
+            channel.pre_begin_cbs.push_back(update_cb);
+            channel.pre_end_cbs.push_back(update_cb);
+            channel.pre_set_cbs.push_back(update_cb);
 
+            // A snapshot of a context seen before folds into the group its
+            // node maps to, after AggregationDB::process_snapshot checks
+            // the key's as_value part; the memo is not invalidated by
+            // update callbacks, whose order relative to snapshot triggers
+            // is up to the services.
             channel.process_cbs.push_back(
                 [ensure_state](Caliper& c, Channel& ch, ThreadData& td,
                                ThreadChannelState& state, const SnapshotRecord& rec) {
-                    if (!state.aggregation)
+                    if (td.in_signal) {
+                        if (!state.aggregation) {
+                            ++td.dropped_samples;
+                            return;
+                        }
+                    } else {
                         ensure_state(c, ch, td);
+                    }
                     if (state.aggregation_filter &&
                         !state.aggregation_filter->matches(rec))
                         return;
-                    state.aggregation->process(rec);
+                    AggregationDB& db = *state.aggregation;
+                    if (state.aggregation_memo_epoch != db.key_epoch() && !td.in_signal) {
+                        std::fill(state.aggregation_memo.begin(),
+                                  state.aggregation_memo.end(), 0u);
+                        state.aggregation_memo_epoch = db.key_epoch();
+                    }
+                    const std::uint32_t node = rec.context_node();
+                    std::uint32_t* slot      = nullptr;
+                    if (node < state.aggregation_memo.size() && rec.dropped() == 0 &&
+                        state.aggregation_memo_epoch == db.key_epoch())
+                        slot = &state.aggregation_memo[node];
+                    const std::size_t group = db.process_snapshot(
+                        std::span<const Entry>(rec.begin(), rec.size()),
+                        rec.capture_begin(),
+                        slot && *slot ? *slot - 1 : AggregationDB::npos);
+                    if (slot && !td.in_signal) // the handler only reads the memo
+                        *slot = group < UINT32_MAX ? static_cast<std::uint32_t>(group + 1)
+                                                   : 0;
                 });
 
             channel.flush_cbs.push_back(

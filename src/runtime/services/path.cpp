@@ -15,6 +15,7 @@
 
 #include "../../common/util.hpp"
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +26,9 @@ namespace {
 
 struct PathExport {
     std::string source;  ///< nested attribute to fold
-    Attribute source_attr;
+    /// source id, resolved on blackboard updates (the attribute may be
+    /// created after the channel); shared across threads, hence atomic
+    std::atomic<id_t> source_id{invalid_id};
     Attribute path_attr; ///< "<source>.path"
 };
 
@@ -36,38 +39,49 @@ void register_path_service();
 void register_path_service() {
     ServiceRegistry::instance().add(
         "path", /*priority=*/14, [](Caliper& c, Channel& channel) {
-            auto exports = std::make_shared<std::vector<PathExport>>();
             // keep the config string alive: split() returns views into it
             const std::string attr_list =
                 channel.config().get("path.attributes", "function");
+            std::vector<std::string> sources;
             for (std::string_view tok : util::split(attr_list, ',')) {
                 tok = util::trim(tok);
-                if (tok.empty())
-                    continue;
-                PathExport e;
-                e.source    = std::string(tok);
-                e.path_attr = c.create_attribute(e.source + ".path",
-                                                 Variant::Type::String,
-                                                 prop::as_value);
-                exports->push_back(std::move(e));
+                if (!tok.empty())
+                    sources.emplace_back(tok);
+            }
+            auto exports = std::make_shared<std::vector<PathExport>>(sources.size());
+            for (std::size_t i = 0; i < sources.size(); ++i) {
+                PathExport& e = (*exports)[i];
+                e.source      = sources[i];
+                e.path_attr   = c.create_attribute(e.source + ".path",
+                                                   Variant::Type::String,
+                                                   prop::as_value);
             }
 
-            // resolve sources that already exist; late-created attributes
-            // are looked up per snapshot (the shared export table must not
-            // be mutated from the per-thread snapshot path)
-            for (PathExport& e : *exports)
-                e.source_attr = c.registry().find(e.source);
+            // resolve late-created sources on updates, never per snapshot:
+            // the snapshot path may run in the sampler's signal handler
+            auto resolve = [exports](Caliper& c) {
+                for (PathExport& e : *exports)
+                    if (e.source_id.load(std::memory_order_relaxed) == invalid_id) {
+                        const Attribute a = c.registry().find(e.source);
+                        if (a.valid())
+                            e.source_id.store(a.id(), std::memory_order_relaxed);
+                    }
+            };
+            resolve(c);
+            auto update_cb = [resolve](Caliper& c, Channel&, ThreadData&,
+                                       const Attribute&, const Variant&) { resolve(c); };
+            channel.pre_begin_cbs.push_back(update_cb);
+            channel.pre_set_cbs.push_back(update_cb);
 
             channel.snapshot_cbs.push_back(
-                [exports](Caliper& c, Channel&, ThreadData& td, ThreadChannelState&,
+                [exports](Caliper&, Channel&, ThreadData& td, ThreadChannelState&,
                           SnapshotRecord& rec) {
+                    std::vector<Variant> stack;
                     for (const PathExport& e : *exports) {
-                        const Attribute src = e.source_attr.valid()
-                                                  ? e.source_attr
-                                                  : c.registry().find(e.source);
-                        if (!src.valid() || src.id() >= td.blackboard.size())
+                        const id_t src = e.source_id.load(std::memory_order_relaxed);
+                        if (src == invalid_id)
                             continue;
-                        const auto& stack = td.blackboard[src.id()];
+                        td.blackboard.values(src, stack);
                         if (stack.empty())
                             continue;
                         std::string path;

@@ -12,10 +12,26 @@
 //
 //   signal — real asynchronous sampling: a sampler thread sends SIGPROF to
 //     every registered thread each period; the handler captures and
-//     processes a snapshot on the interrupted thread (the aggregation path
-//     is allocation-free up to the preallocated DB capacity, paper §IV-B:
-//     "Our implementation is async-signal safe"). Samples that interrupt a
+//     processes a snapshot on the interrupted thread (paper §IV-B: "Our
+//     implementation is async-signal safe"). Samples that interrupt a
 //     blackboard update are dropped and counted.
+//
+// Async-signal safety. With the timer, cycles, aggregate and trace
+// services, the handler takes no lock and allocates nothing; CI checks
+// this by running test_sampler under TSan with halt_on_error=1:
+//   - the blackboard capture only reads the thread's context tree and
+//     immediates, which change only inside the in_update window;
+//   - the aggregate service resolves attribute ids, classifies implicit
+//     key attributes and sizes its context memo on blackboard updates,
+//     builds its op labels at construction, and in the handler only reads
+//     them (AggregationDB::process_snapshot does not resolve ids, and
+//     sorts a `*` key in place);
+//   - a sample that finds no aggregation state on its thread is dropped
+//     and counted in ThreadData::dropped_samples, not created.
+// Limits: an aggregation database or trace buffer that outgrows its
+// preallocated capacity (aggregate.prealloc, trace.reserve) allocates;
+// the path, textlog and report services, and a WHERE filter on an
+// attribute that does not exist yet, are not safe in the handler.
 //
 // Config:
 //   sampler.frequency  sampling frequency in Hz (default 100)

@@ -1,9 +1,11 @@
-// Per-thread runtime state: the blackboard buffer (paper §IV-A) and the
-// per-thread, per-channel service state (aggregation DB, trace buffer,
-// timer stacks — paper §IV-B: "We maintain a separate aggregation database
-// for each monitored thread ... this design avoids the use of thread
-// locks").
+// Per-thread runtime state: the blackboard (paper §IV-A, a context tree
+// plus immediates, see blackboard.hpp) and the per-thread, per-channel
+// service state (aggregation DB and its context memo, trace buffer, timer
+// stacks — paper §IV-B: "We maintain a separate aggregation database for
+// each monitored thread ... this design avoids the use of thread locks").
 #pragma once
+
+#include "blackboard.hpp"
 
 #include "../aggregate/aggregation_db.hpp"
 #include "../query/filter.hpp"
@@ -74,6 +76,12 @@ struct TimerState {
 struct ThreadChannelState {
     std::unique_ptr<AggregationDB> aggregation;
     std::unique_ptr<SnapshotFilter> aggregation_filter;
+    /// Aggregate service memo: context node -> group index + 1 in
+    /// `aggregation` (0 = none). Valid while aggregation->key_epoch()
+    /// equals aggregation_memo_epoch; sized in update callbacks, only read
+    /// in signal context.
+    std::vector<std::uint32_t> aggregation_memo;
+    std::uint64_t aggregation_memo_epoch = 0;
     std::unique_ptr<TraceBuffer> trace;
     TimerState timer;
     std::uint64_t sampler_last_ns = 0;
@@ -84,9 +92,8 @@ struct ThreadChannelState {
 
 /// Everything the runtime keeps per thread.
 struct ThreadData {
-    /// Blackboard: one value stack per attribute id. as_value attributes
-    /// use a stack of depth one (set overwrites the top).
-    std::vector<std::vector<Variant>> blackboard;
+    /// Blackboard: the context tree and the immediates.
+    Blackboard blackboard;
 
     /// Per-channel service state, indexed by channel id.
     std::vector<ThreadChannelState> channels;
@@ -96,7 +103,12 @@ struct ThreadData {
     /// sig_atomic_t is sufficient).
     volatile sig_atomic_t in_update = 0;
 
-    /// Samples dropped because they interrupted an update.
+    /// Non-zero while the sampling signal handler processes a snapshot on
+    /// this thread: services then must not lock, allocate or create state.
+    volatile sig_atomic_t in_signal = 0;
+
+    /// Samples dropped because they interrupted an update or found no
+    /// service state to fold into.
     std::uint64_t dropped_samples = 0;
 
     /// Label used to substitute %r in recorder filenames (set from the
@@ -110,12 +122,6 @@ struct ThreadData {
     /// instrumentation hot path); refreshed when the epoch changes.
     std::vector<class Channel*> cached_channels;
     std::uint64_t cached_channel_epoch = ~0ull;
-
-    std::vector<Variant>& stack_for(id_t attr) {
-        if (attr >= blackboard.size())
-            blackboard.resize(attr + 1);
-        return blackboard[attr];
-    }
 
     ThreadChannelState& channel_state(std::size_t channel_id) {
         if (channel_id >= channels.size())
