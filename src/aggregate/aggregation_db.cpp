@@ -168,11 +168,6 @@ AggregationDB::AggregationDB(AggregationConfig config, AttributeRegistry* regist
     key_ids_.assign(config_.key.attributes.size(), invalid_id);
     op_ids_.assign(config_.ops.size(), invalid_id);
     op_fallback_ids_.assign(config_.ops.size(), invalid_id);
-    // re-aggregating already-aggregated profiles: sum(x) also accepts a
-    // "sum#x" input column (paper §VI-B second stage)
-    op_fallback_labels_.reserve(config_.ops.size());
-    for (const AggOpConfig& op : config_.ops)
-        op_fallback_labels_.push_back(AggOpConfig{op.op, op.attribute, ""}.result_label());
 
     op_state_offsets_.reserve(config_.ops.size());
     for (const AggOpConfig& op : config_.ops) {
@@ -319,9 +314,7 @@ void AggregationDB::resolve() {
                 Attribute a = registry_->find(config_.key.attributes[i]);
                 if (a.valid()) {
                     key_ids_[i] = a.id();
-                    if (a.is_value())
-                        key_value_positions_.push_back(static_cast<std::uint32_t>(i));
-                    changed = true;
+                    changed     = true;
                 } else {
                     all = false;
                 }
@@ -340,7 +333,12 @@ void AggregationDB::resolve() {
                 }
             }
             if (op_fallback_ids_[i] == invalid_id) {
-                Attribute a = registry_->find(op_fallback_labels_[i]);
+                // allow re-aggregating already-aggregated profiles: sum(x)
+                // also accepts a "sum#x" input column (paper §VI-B second
+                // stage)
+                const AggOpConfig& op = config_.ops[i];
+                Attribute a =
+                    registry_->find(AggOpConfig{op.op, op.attribute, ""}.result_label());
                 if (a.valid()) {
                     op_fallback_ids_[i] = a.id();
                     changed             = true;
@@ -455,65 +453,28 @@ std::size_t AggregationDB::fold(std::span<const Entry> record, std::uint64_t cop
     return index;
 }
 
-bool AggregationDB::is_key_attribute(id_t attr) const noexcept {
+bool AggregationDB::in_key(id_t attr) const noexcept {
     if (config_.key.all)
-        return attr < implicit_skip_.size() && implicit_skip_[attr] == 0;
+        return attr >= implicit_skip_.size() || implicit_skip_[attr] != 1;
     for (const id_t k : key_ids_)
         if (k == attr)
             return true;
     return false;
 }
 
-bool AggregationDB::group_key_matches(std::size_t group, std::span<const Entry> record,
-                                      std::size_t capture_begin) const noexcept {
+std::span<const Entry> AggregationDB::group_key(std::size_t group) const noexcept {
     const EntryRec& rec = entries_[group];
-    const Entry* key    = key_arena_.data() + rec.key_offset;
-    if (config_.key.all) {
-        // the key is the capture minus the skipped attributes (entries
-        // before the capture are all skipped, and the capture is sorted);
-        // the node fixes its nested entries, so this compares the
-        // immediates, and catches one that ended or appeared since
-        std::size_t k = 0;
-        for (const Entry& e : record.subspan(capture_begin)) {
-            if (e.attribute >= implicit_skip_.size() || implicit_skip_[e.attribute] != 0)
-                continue;
-            if (k == rec.key_len || !(key[k] == e))
-                return false;
-            ++k;
-        }
-        return k == rec.key_len;
-    }
-    // key list: nested positions follow from the node; compare the
-    // as_value ones, canonicalized like fold() builds them
-    for (const std::uint32_t pos : key_value_positions_) {
-        const id_t attr  = key_ids_[pos];
-        const Variant* v = find_entry(record, attr);
-        const Entry want =
-            v && !v->empty() ? Entry(attr, *v) : Entry(invalid_id, Variant());
-        if (!(key[pos] == want))
-            return false;
-    }
-    return true;
+    return {key_arena_.data() + rec.key_offset, rec.key_len};
 }
 
-std::size_t AggregationDB::process_snapshot(std::span<const Entry> record,
-                                            std::size_t capture_begin,
-                                            std::size_t group) {
-    bool memoizable = spill_limit_ == 0 && capture_begin <= record.size() &&
-                      record.size() <= SnapshotRecord::max_entries;
-    for (std::size_t i = 0; memoizable && i < capture_begin; ++i)
-        memoizable = !is_key_attribute(record[i].attribute);
-    if (memoizable && group < entries_.size() &&
-        group_key_matches(group, record, capture_begin)) {
-        ++stats_.lookups; // a memo hit still counts as one key lookup
-        aggdb_lookups.add();
-        ++processed_;
-        aggdb_records.add();
-        update_ops(group, record, 1);
-        return group;
-    }
-    const std::size_t index = fold(record, 1);
-    return memoizable ? index : npos;
+void AggregationDB::update_group(std::size_t group, std::span<const Entry> record) {
+    if (record.size() > SnapshotRecord::max_entries)
+        record = record.first(SnapshotRecord::max_entries);
+    ++stats_.lookups;
+    aggdb_lookups.add();
+    ++processed_;
+    aggdb_records.add();
+    update_ops(group, record, 1);
 }
 
 void AggregationDB::process_batch(const RecordBatch& batch,
@@ -1015,7 +976,6 @@ void AggregationDB::merge(AggregationDB&& other) {
         entries_.swap(other.entries_);
         table_.swap(other.table_);
         key_ids_.swap(other.key_ids_);
-        key_value_positions_.swap(other.key_value_positions_);
         op_ids_.swap(other.op_ids_);
         op_fallback_ids_.swap(other.op_fallback_ids_);
         implicit_skip_.swap(other.implicit_skip_);

@@ -43,7 +43,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace calib {
@@ -84,32 +83,41 @@ public:
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
     /// Resolve the key and op attribute names the registry defines by now
-    /// and, for `*` keys, classify every attribute it defines (process()
-    /// does this itself). Takes the registry's lock when attributes were
-    /// created since the last call, so callers in signal context skip it.
+    /// and, for `*` keys, classify every attribute it defines. process()
+    /// does this itself; it takes the registry's lock when attributes were
+    /// created since the last call.
     void resolve();
+
+    /// process() without its resolve(), for callers that resolve
+    /// themselves (the runtime's signal handler must not lock). Returns
+    /// the group \a record folded into, or npos when the fold spilled the
+    /// table.
+    std::size_t fold(std::span<const Entry> record, std::uint64_t copies = 1);
+
+    /// Fold \a record's op inputs into \a group, which the caller knows is
+    /// \a record's group: no key build, hash or probe. Counts as one
+    /// processed record and one lookup, like process().
+    void update_group(std::size_t group, std::span<const Entry> record);
+
+    /// The key of \a group, as fold() built it: for a key list, one entry
+    /// per key attribute in list order (an absent attribute as an entry
+    /// with invalid_id); for `*`, the record's key attributes in ascending
+    /// id.
+    std::span<const Entry> group_key(std::size_t group) const noexcept;
+
+    /// The key list's attribute ids as of the last resolve() (invalid_id:
+    /// not defined yet); empty for `*`.
+    std::span<const id_t> key_ids() const noexcept { return key_ids_; }
+
+    /// True when \a attr can enter this database's key, as of the last
+    /// resolve(). An attribute a `*` key has not classified yet counts as
+    /// a key attribute.
+    bool in_key(id_t attr) const noexcept;
 
     /// Changes whenever a group index or the key a record maps to may have
     /// changed meaning: new id resolutions, clear(), a spill, a merge that
     /// steals the arenas. Memos of group indices are valid within an epoch.
     std::uint64_t key_epoch() const noexcept { return key_epoch_; }
-
-    /// The runtime's snapshot fold (aggregate service). \a record is a
-    /// blackboard capture from \a capture_begin on, after trigger and
-    /// service entries; \a group is the group the caller memoized for the
-    /// capture's context node (npos: none). When \a group holds and its
-    /// key's as_value part equals \a record's (for `*`, its whole filtered
-    /// capture), the ops fold into it with no key build, hash or probe;
-    /// otherwise \a record takes process()'s path. Either way it counts
-    /// as one processed record and one lookup. Never resolves ids, so it
-    /// touches the registry only for an attribute created after the last
-    /// resolve(): call resolve() first outside signal context (inside it,
-    /// the blackboard updates that put the attributes there resolved
-    /// them). Returns the group to memoize for the context node, or npos
-    /// when \a record's key does not follow from that node: an entry
-    /// before the capture is a key attribute, or a memory budget is set.
-    std::size_t process_snapshot(std::span<const Entry> record,
-                                 std::size_t capture_begin, std::size_t group);
 
     /// Fold the selected rows of a record batch (columnar hot path): key
     /// and op attributes resolve to columns once, then a tight probe +
@@ -221,15 +229,6 @@ private:
     };
 
     bool skip_in_implicit_key(id_t attr);
-    /// process() after resolution: build the key, probe, update the ops.
-    /// Returns the group index, or npos when the fold spilled the table.
-    std::size_t fold(std::span<const Entry> record, std::uint64_t copies);
-    /// True when \a attr can enter this database's key, as of the last
-    /// resolve().
-    bool is_key_attribute(id_t attr) const noexcept;
-    /// process_snapshot()'s memo check, see there.
-    bool group_key_matches(std::size_t group, std::span<const Entry> record,
-                           std::size_t capture_begin) const noexcept;
     std::size_t find_or_insert(const Entry* key, std::size_t key_len, std::uint64_t hash);
     void grow_table(std::size_t min_slots);
     /// Make room for \a entries entries (capped at the spill limit) before
@@ -264,10 +263,8 @@ private:
 
     // lazily resolved attribute ids (invalid_id until the attribute exists)
     std::vector<id_t> key_ids_;
-    std::vector<std::uint32_t> key_value_positions_; // key_ids_ of as_value attributes
     std::vector<id_t> op_ids_;          // targets
     std::vector<id_t> op_fallback_ids_; // result-label fallbacks (re-aggregation)
-    std::vector<std::string> op_fallback_labels_; // their labels, built once
     std::size_t resolved_generation_ = static_cast<std::size_t>(-1);
     bool fully_resolved_             = false;
     std::uint64_t key_epoch_         = 0;

@@ -82,6 +82,23 @@ Blackboard::node_t Blackboard::child(node_t parent, id_t attr, Variant value) {
     return id;
 }
 
+void Blackboard::rebuild_from_path() {
+    path_.clear();
+    for (node_t n = current_; n != root; n = nodes_[n].parent)
+        path_.emplace_back(nodes_[n].attribute, nodes_[n].value);
+    nodes_.resize(1);
+    nodes_[root].last_child = root;
+    lists_.clear();
+    std::fill(children_.begin(), children_.end(), root);
+    current_ = root;
+    for (auto it = path_.rbegin(); it != path_.rend(); ++it)
+        current_ = child(current_, it->attribute, it->value);
+    // a path with more entries than half the limit keeps room to grow, so
+    // each rebuild is paid for by at least as many new entries
+    limit_ = std::max(entry_limit, 2 * lists_.size());
+    ++epoch_;
+}
+
 bool Blackboard::rebuild_without(id_t attr, const Variant* value) {
     rebuild_.clear();
     node_t n = current_;
@@ -112,6 +129,7 @@ void Blackboard::push_immediate(id_t id, const Variant& value) {
 void Blackboard::end_outer(const Attribute& attr) {
     const id_t id = attr.id();
     if (!attr.is_value()) {
+        bound();
         rebuild_without(id, nullptr);
         return;
     }
@@ -131,6 +149,7 @@ void Blackboard::set(const Attribute& attr, const Variant& value) {
             push_immediate(id, value);
         return;
     }
+    bound();
     if (current_ != root && nodes_[current_].attribute == id)
         current_ = child(nodes_[current_].parent, id, value);
     else if (!rebuild_without(id, &value))

@@ -20,10 +20,15 @@
 // (set overwrites the top) plus a sorted list of the ids whose stacks are
 // non-empty. A capture merges the node's list with the live immediates.
 //
-// Nodes are never freed: the tree grows with the distinct contexts the
-// thread visits. Mutations may allocate; the runtime flags them with
-// ThreadData::in_update so the sampling signal handler never sees a tree
-// mid-change. Reads (capture, innermost) never allocate.
+// The tree is bounded: once its nodes' innermost lists hold entry_limit
+// entries, the next mutation that may add a node first rebuilds the tree
+// from the current path alone, and epoch() moves because node ids change
+// meaning. A thread that keeps entering new contexts (a nested
+// per-iteration value) thus holds a bounded tree, and one whose contexts
+// fit under the bound keeps its node ids. Mutations may allocate; the
+// runtime flags them with ThreadData::in_update so the sampling signal
+// handler never sees a tree mid-change. Reads (capture, innermost) never
+// allocate.
 #pragma once
 
 #include "../common/attribute.hpp"
@@ -42,11 +47,24 @@ public:
     using node_t = std::uint32_t;
     static constexpr node_t root = 0;
 
+    /// Innermost-list entries past which the tree is rebuilt from the
+    /// current path. Every node but the root lists at least one entry, so
+    /// this also bounds the node count (a longer current path raises the
+    /// bound to twice its own entries, keeping rebuilds rare).
+    static constexpr std::size_t entry_limit = 4096;
+
     Blackboard();
 
     /// Nodes the tree holds before it next reallocates. Node ids below it
     /// index per-node memos sized outside signal context.
     std::size_t node_capacity() const noexcept { return nodes_.capacity(); }
+
+    /// Nodes in the tree, the root included.
+    std::size_t node_count() const noexcept { return nodes_.size(); }
+
+    /// Moves whenever the tree is rebuilt and node ids change meaning;
+    /// per-node memos are valid within one epoch.
+    std::uint64_t epoch() const noexcept { return epoch_; }
 
     void begin(const Attribute& attr, const Variant& value) {
         if (attr.is_value()) {
@@ -56,10 +74,12 @@ public:
         // re-entering the last child is the common case: no hash lookup
         const node_t last = nodes_[current_].last_child;
         if (last != root && nodes_[last].attribute == attr.id() &&
-            nodes_[last].value == value)
+            nodes_[last].value == value) {
             current_ = last;
-        else
+        } else {
+            bound();
             current_ = child(current_, attr.id(), value);
+        }
     }
 
     /// Remove the innermost value of \a attr; a no-op when it has none.
@@ -106,6 +126,14 @@ private:
     std::size_t slot_of(node_t parent, id_t attr, const Variant& value) const noexcept;
     void grow_children();
 
+    /// Rebuild the tree from the current path when it holds limit_
+    /// entries; called before a mutation that may add nodes.
+    void bound() {
+        if (lists_.size() >= limit_)
+            rebuild_from_path();
+    }
+    void rebuild_from_path();
+
     /// Leave the innermost \a attr node off the path; with \a value, put a
     /// node holding it in its place. Returns false when \a attr is not on
     /// the path.
@@ -121,7 +149,10 @@ private:
     std::vector<Entry> lists_;          ///< every node's innermost list
     std::vector<node_t> children_;      ///< open addressing; root = empty slot
     std::vector<node_t> rebuild_;       ///< scratch for rebuild_without()
-    node_t current_ = root;
+    std::vector<Entry> path_;           ///< scratch for rebuild_from_path()
+    node_t current_      = root;
+    std::size_t limit_   = entry_limit;
+    std::uint64_t epoch_ = 0;
 
     std::vector<std::vector<Variant>> stacks_; ///< immediates, by attribute id
     std::vector<id_t> live_;                   ///< ids with non-empty stacks, ascending

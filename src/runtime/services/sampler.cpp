@@ -20,12 +20,13 @@
 // services, the handler takes no lock and allocates nothing; CI checks
 // this by running test_sampler under TSan with halt_on_error=1:
 //   - the blackboard capture only reads the thread's context tree and
-//     immediates, which change only inside the in_update window;
-//   - the aggregate service resolves attribute ids, classifies implicit
-//     key attributes and sizes its context memo on blackboard updates,
-//     builds its op labels at construction, and in the handler only reads
-//     them (AggregationDB::process_snapshot does not resolve ids, and
-//     sorts a `*` key in place);
+//     immediates, which change (and are rebuilt at their bound) only
+//     inside the in_update window;
+//   - the aggregate service resolves attribute ids (building their labels),
+//     classifies implicit key attributes and sizes its context memo on
+//     blackboard updates, and in the handler only reads them
+//     (AggregationDB::fold does not resolve ids, and sorts a `*` key in
+//     place);
 //   - a sample that finds no aggregation state on its thread is dropped
 //     and counted in ThreadData::dropped_samples, not created.
 // Limits: an aggregation database or trace buffer that outgrows its

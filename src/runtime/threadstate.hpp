@@ -72,16 +72,25 @@ struct TimerState {
     std::vector<std::uint64_t> begin_stack; ///< begin timestamps of nested regions
 };
 
+/// The aggregate service's context memo (services/aggregate.cpp): which
+/// group of the thread's AggregationDB a context-tree node's snapshots
+/// fold into. Valid while both epochs match the DB's key_epoch() and the
+/// blackboard's epoch(); sized and refilled outside signal context, only
+/// read in it.
+struct AggregationMemo {
+    std::vector<std::uint32_t> groups; ///< node -> group index + 1 (0: none)
+    /// Key-list positions of as_value key attributes: the part of the key
+    /// a node does not fix, checked on every hit.
+    std::vector<std::uint32_t> value_positions;
+    std::uint64_t key_epoch  = ~0ull;
+    std::uint64_t tree_epoch = ~0ull;
+};
+
 /// Per-(thread, channel) service state.
 struct ThreadChannelState {
     std::unique_ptr<AggregationDB> aggregation;
     std::unique_ptr<SnapshotFilter> aggregation_filter;
-    /// Aggregate service memo: context node -> group index + 1 in
-    /// `aggregation` (0 = none). Valid while aggregation->key_epoch()
-    /// equals aggregation_memo_epoch; sized in update callbacks, only read
-    /// in signal context.
-    std::vector<std::uint32_t> aggregation_memo;
-    std::uint64_t aggregation_memo_epoch = 0;
+    AggregationMemo aggregation_memo;
     std::unique_ptr<TraceBuffer> trace;
     TimerState timer;
     std::uint64_t sampler_last_ns = 0;

@@ -611,3 +611,56 @@ TEST(ContextTree, PerThreadTreesDoNotInteract) {
         EXPECT_GT(s, 100u);
     Log::set_verbosity(verbosity);
 }
+
+TEST(ContextTree, NestedPerIterationLoopStaysBounded) {
+    // The paper's Listing 1 pattern, a nested per-iteration value, enters
+    // a new context every iteration. Run long enough to rebuild the tree
+    // several times: the node count stays at the bound, the path survives
+    // each rebuild, and the aggregate memo follows the rebuilds (its key
+    // holds nested attributes only, so a hit checks nothing but the node).
+    Caliper& c                = Caliper::instance();
+    const Attribute phase     = c.create_attribute("bounded.phase", Variant::Type::String);
+    const Attribute iteration = c.create_attribute("bounded.iteration", Variant::Type::Int);
+    const Attribute function  = c.create_attribute("bounded.function", Variant::Type::String);
+    TestChannel agg("bounded-agg", RuntimeConfig{{"services.enable", "event,aggregate"},
+                                                 {"aggregate.key", "bounded.function"},
+                                                 {"aggregate.ops", "count"}});
+    const Blackboard& bb      = c.thread_data().blackboard;
+    const std::uint64_t epoch = bb.epoch();
+    const Variant main_phase("main"), foo("foo"), bar("bar");
+
+    constexpr int iterations = 5000;
+    std::size_t max_nodes    = 0;
+    c.begin(phase, main_phase);
+    for (int i = 0; i < iterations; ++i) {
+        c.begin(iteration, Variant(i));
+        for (const Variant* f : {&foo, &foo, &bar}) {
+            c.begin(function, *f);
+            ASSERT_EQ(c.current(function), *f) << "iteration " << i;
+            ASSERT_EQ(c.current(iteration), Variant(i)) << "iteration " << i;
+            ASSERT_EQ(c.current(phase), main_phase) << "iteration " << i;
+            c.end(function);
+        }
+        c.end(iteration);
+        max_nodes = std::max(max_nodes, bb.node_count());
+    }
+    c.end(phase);
+    EXPECT_EQ(c.depth(iteration), 0u);
+    EXPECT_EQ(c.depth(phase), 0u);
+    // one node per (iteration) and per (iteration, function) context: the
+    // loop holds far more contexts than the bound allows
+    EXPECT_LE(max_nodes, Blackboard::entry_limit + 2);
+    EXPECT_GE(bb.epoch() - epoch, 3u);
+
+    // snapshots precede each update: per iteration, the function is
+    // absent at begin(iteration), each begin(function) and end(iteration)
+    std::map<std::string, std::uint64_t> counts;
+    for (const RecordMap& r : flush_records(agg.get())) {
+        const Variant f = r.get("bounded.function");
+        counts[f.empty() ? "" : f.to_string()] += r.get("count").to_uint();
+    }
+    const std::uint64_t n = iterations;
+    EXPECT_EQ(counts[""], 5 * n + 2); // + begin(phase) and end(phase)
+    EXPECT_EQ(counts["foo"], 2 * n);
+    EXPECT_EQ(counts["bar"], n);
+}
