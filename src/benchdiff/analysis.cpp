@@ -2,9 +2,11 @@
 
 #include "../engine/parallel_processor.hpp"
 #include "../query/calql.hpp"
+#include "../query/formatter.hpp"
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -65,6 +67,32 @@ bool glob_match(std::string_view pattern, std::string_view text) {
     return p == pattern.size();
 }
 
+bool parse_gate_setting(std::string_view key, std::string_view text, Override& ov) {
+    const char* first = text.data();
+    const char* last  = text.data() + text.size();
+    if (key == "window" || key == "min_samples") {
+        std::size_t n = 0;
+        const auto [end, ec] = std::from_chars(first, last, n);
+        if (ec != std::errc() || end != last || n == 0)
+            throw std::invalid_argument(std::string(key) +
+                                        " must be an integer >= 1, got '" +
+                                        std::string(text) + "'");
+        (key == "window" ? ov.window : ov.min_samples) = n;
+        return true;
+    }
+    if (key == "k" || key == "rel_floor") {
+        double x = 0.0;
+        const auto [end, ec] = std::from_chars(first, last, x);
+        if (ec != std::errc() || end != last || !std::isfinite(x) || x < 0.0)
+            throw std::invalid_argument(std::string(key) +
+                                        " must be a finite number >= 0, got '" +
+                                        std::string(text) + "'");
+        (key == "k" ? ov.k : ov.rel_floor) = x;
+        return true;
+    }
+    return false;
+}
+
 namespace {
 
 [[noreturn]] void override_fail(const std::string& path, std::size_t line,
@@ -105,31 +133,23 @@ std::vector<Override> load_overrides(const std::string& path) {
                 override_fail(path, lineno, "expected key=value, got '" + tok + "'");
             const std::string key = tok.substr(0, eq);
             const std::string val = tok.substr(eq + 1);
+            if (key == "direction") {
+                if (val == "higher")
+                    ov.direction = Direction::HigherBetter;
+                else if (val == "lower")
+                    ov.direction = Direction::LowerBetter;
+                else if (val == "untracked")
+                    ov.direction = Direction::Untracked;
+                else
+                    override_fail(path, lineno,
+                                  "direction must be higher|lower|untracked");
+                continue;
+            }
             try {
-                if (key == "window")
-                    ov.window = static_cast<std::size_t>(std::stoull(val));
-                else if (key == "k")
-                    ov.k = std::stod(val);
-                else if (key == "rel_floor")
-                    ov.rel_floor = std::stod(val);
-                else if (key == "min_samples")
-                    ov.min_samples = static_cast<std::size_t>(std::stoull(val));
-                else if (key == "direction") {
-                    if (val == "higher")
-                        ov.direction = Direction::HigherBetter;
-                    else if (val == "lower")
-                        ov.direction = Direction::LowerBetter;
-                    else if (val == "untracked")
-                        ov.direction = Direction::Untracked;
-                    else
-                        override_fail(path, lineno,
-                                      "direction must be higher|lower|untracked");
-                } else
+                if (!parse_gate_setting(key, val, ov))
                     override_fail(path, lineno, "unknown key '" + key + "'");
-            } catch (const std::invalid_argument&) {
-                override_fail(path, lineno, "bad value for '" + key + "'");
-            } catch (const std::out_of_range&) {
-                override_fail(path, lineno, "bad value for '" + key + "'");
+            } catch (const std::invalid_argument& e) {
+                override_fail(path, lineno, e.what());
             }
         }
         if (have_pattern)
@@ -240,14 +260,7 @@ GateReport run_gate(const std::string& history_path,
         for (const Override& ov : overrides) {
             if (!glob_match(ov.pattern, key))
                 continue;
-            if (ov.window)
-                cfg.window = *ov.window;
-            if (ov.k)
-                cfg.k = *ov.k;
-            if (ov.rel_floor)
-                cfg.rel_floor = *ov.rel_floor;
-            if (ov.min_samples)
-                cfg.min_samples = *ov.min_samples;
+            cfg = ov.apply(cfg);
             if (ov.direction)
                 v.direction = *ov.direction;
             if (ov.skip)
@@ -323,29 +336,6 @@ std::string fmt_pct(double frac) {
     return buf;
 }
 
-void json_string(std::ostream& os, std::string_view s) {
-    os << '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"':  os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        case '\r': os << "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
 } // namespace
 
 void write_report_table(std::ostream& os, const GateReport& report,
@@ -387,11 +377,9 @@ void write_report_table(std::ostream& os, const GateReport& report,
 void write_report_json(std::ostream& os, const GateReport& report) {
     os << "[\n";
     for (const Verdict& v : report.verdicts) {
-        os << "{\"kind\": \"verdict\", \"bench\": ";
-        json_string(os, v.bench);
-        os << ", \"metric\": ";
-        json_string(os, v.metric);
-        os << ", \"status\": \"" << status_name(v.status)
+        os << "{\"kind\": \"verdict\", \"bench\": \"" << json_escape(v.bench)
+           << "\", \"metric\": \"" << json_escape(v.metric)
+           << "\", \"status\": \"" << status_name(v.status)
            << "\", \"direction\": \"" << direction_name(v.direction)
            << "\", \"current\": " << fmt_num(v.current)
            << ", \"baseline\": " << fmt_num(v.baseline)
@@ -401,9 +389,9 @@ void write_report_json(std::ostream& os, const GateReport& report) {
            << ", \"ratio\": " << fmt_num(v.ratio)
            << ", \"n_baseline\": " << v.n_baseline << "},\n";
     }
-    os << "{\"kind\": \"summary\", \"commit\": ";
-    json_string(os, report.commit.empty() ? "unknown" : report.commit);
-    os << ", \"seq\": " << report.seq
+    os << "{\"kind\": \"summary\", \"commit\": \""
+       << json_escape(report.commit.empty() ? "unknown" : report.commit)
+       << "\", \"seq\": " << report.seq
        << ", \"series\": " << report.verdicts.size()
        << ", \"gated\": " << report.gated
        << ", \"regressions\": " << report.regressions

@@ -60,7 +60,24 @@ struct Override {
     std::optional<std::size_t> min_samples;
     std::optional<Direction> direction;
     bool skip = false;
+
+    /// \a cfg with the numeric settings this entry sets.
+    GateConfig apply(GateConfig cfg) const {
+        cfg.window      = window.value_or(cfg.window);
+        cfg.k           = k.value_or(cfg.k);
+        cfg.rel_floor   = rel_floor.value_or(cfg.rel_floor);
+        cfg.min_samples = min_samples.value_or(cfg.min_samples);
+        return cfg;
+    }
 };
+
+/// The one parse of a numeric gate setting, for the check flags and the
+/// override file alike: sets \a key ("window", "k", "rel_floor" or
+/// "min_samples") in \a ov from \a text and returns true, or returns
+/// false for any other key. window and min_samples must be integers
+/// >= 1, k and rel_floor finite numbers >= 0; any other \a text throws
+/// std::invalid_argument saying so.
+bool parse_gate_setting(std::string_view key, std::string_view text, Override& ov);
 
 /// Match \a text against \a pattern where '*' spans any run of characters.
 bool glob_match(std::string_view pattern, std::string_view text);

@@ -1,13 +1,13 @@
 #include "history.hpp"
 
 #include "../io/caliwriter.hpp"
+#include "../io/filebuffer.hpp"
 #include "../io/jsonreader.hpp"
 
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <unistd.h>
@@ -256,28 +256,16 @@ std::vector<MetricSample> normalize_stats_json(const std::vector<RecordMap>& rec
 std::vector<MetricSample> normalize_file(const std::string& path,
                                          const std::string& bench_hint,
                                          RunMeta& meta) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw std::runtime_error("cannot open " + path);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    const std::string text = ss.str();
-
-    std::size_t first = 0;
-    while (first < text.size() &&
-           (text[first] == ' ' || text[first] == '\t' || text[first] == '\n' ||
-            text[first] == '\r'))
-        ++first;
-    if (first == text.size())
-        throw std::runtime_error(path + ": empty input");
-
+    const FileBuffer buf = FileBuffer::open(path);
     try {
-        if (text[first] == '[') {
+        // the documents are small: an array is parsed again as records
+        const JsonValue doc = parse_json(buf.view());
+        if (doc.is_array()) {
             const std::string bench =
                 !bench_hint.empty() ? bench_hint : "stats:" + file_stem(path);
-            return normalize_stats_json(read_json_records(text), bench, meta);
+            return normalize_stats_json(read_json_records(buf.view()), bench, meta);
         }
-        return normalize_bench_json(parse_json(text),
+        return normalize_bench_json(doc,
                                     !bench_hint.empty() ? bench_hint
                                                         : file_stem(path),
                                     meta);

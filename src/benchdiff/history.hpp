@@ -26,9 +26,8 @@
 // files.
 #pragma once
 
-#include "jsonvalue.hpp"
-
 #include "../common/recordmap.hpp"
+#include "../io/json.hpp"
 
 #include <cstdint>
 #include <string>

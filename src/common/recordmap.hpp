@@ -73,12 +73,22 @@ public:
     auto end() noexcept { return entries_.end(); }
     const value_type& operator[](std::size_t i) const noexcept { return entries_[i]; }
 
+    /// Equal when both rows hold the same (name, value) fields in any
+    /// order: each field matches one field of \a rhs not matched before,
+    /// so a name that repeats must repeat as often on both sides.
     bool operator==(const RecordMap& rhs) const {
         if (entries_.size() != rhs.entries_.size())
             return false;
+        std::vector<bool> matched(rhs.entries_.size());
         for (const auto& [n, v] : entries_) {
-            if (!(rhs.get(n) == v))
+            std::size_t j = 0;
+            while (j < matched.size() &&
+                   (matched[j] || !name_equal(n, rhs.entries_[j].first) ||
+                    !(rhs.entries_[j].second == v)))
+                ++j;
+            if (j == matched.size())
                 return false;
+            matched[j] = true;
         }
         return true;
     }

@@ -1,10 +1,12 @@
-// Minimal JSON reader for record arrays, the inverse of FORMAT json:
+// JSON record reader, the inverse of FORMAT json:
 //
 //   [ {"kernel": "advec", "count": 3, "t": 1.5}, ... ]
 //
-// Supports the subset the JSON formatter emits: an array of flat objects
-// with string / number / bool / null values. Lets query pipelines consume
-// reports produced by other tools (or by calib itself).
+// Reads an array of flat objects with string / number / bool / null
+// values (null drops the field; an array or object value is an error:
+// records are flat). Lets query pipelines consume reports produced by
+// other tools (or by calib itself). The grammar and the number typing
+// are the shared strict parser's (json.hpp).
 //
 // The batched entry point resolves each distinct object key against the
 // caller's AttributeRegistry once per stream (a per-parser dictionary
@@ -41,8 +43,8 @@ void read_json_file_batches(const std::string& path, AttributeRegistry& registry
 /// Parse a JSON array of flat objects into name-based records.
 std::vector<RecordMap> read_json_records(std::string_view text);
 
-/// Streaming name-based variants: records are parsed directly off the
-/// stream (the input is never slurped into memory).
+/// Name-based variants over a stream: the whole stream is read into
+/// memory, then parsed like text.
 void read_json_records(std::istream& is,
                        const std::function<void(RecordMap&&)>& sink);
 std::vector<RecordMap> read_json_records(std::istream& is);

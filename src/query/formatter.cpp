@@ -45,6 +45,8 @@ bool column_is_numeric(const std::string& column,
     return seen;
 }
 
+} // namespace
+
 std::string json_escape(std::string_view s) {
     std::string out;
     out.reserve(s.size() + 2);
@@ -67,6 +69,8 @@ std::string json_escape(std::string_view s) {
     }
     return out;
 }
+
+namespace {
 
 std::string csv_escape(const std::string& s) {
     if (s.find_first_of(",\"\n") == std::string::npos)

@@ -8,6 +8,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace calib {
@@ -17,6 +18,12 @@ namespace calib {
 /// result labels, then remaining attributes in first-appearance order.
 std::vector<std::string> output_columns(const std::vector<RecordMap>& records,
                                         const QuerySpec& spec);
+
+/// \a s escaped for the inside of a JSON string literal: quote, backslash
+/// and every control character are escaped; other bytes (UTF-8 included)
+/// pass through. FORMAT json and calib-benchdiff's JSON report write
+/// their strings through it.
+std::string json_escape(std::string_view s);
 
 /// Render \a records according to spec.format.
 void format_records(std::ostream& os, const std::vector<RecordMap>& records,

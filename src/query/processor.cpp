@@ -157,27 +157,6 @@ void RecordMapFeeder::flush() {
     batch_.clear();
 }
 
-void QueryProcessor::merge(QueryProcessor& other) {
-    in_ += other.in_;
-    kept_ += other.kept_;
-    if (db_ && other.db_) {
-        // registries differ; go through the name-based serialized form
-        db_->merge_serialized(other.db_->serialize());
-    } else if (wdb_ && other.wdb_) {
-        wdb_->merge_serialized(other.wdb_->serialize());
-    } else {
-        passthrough_.insert(passthrough_.end(), other.passthrough_.begin(),
-                            other.passthrough_.end());
-        passthrough_panes_.insert(passthrough_panes_.end(),
-                                  other.passthrough_panes_.begin(),
-                                  other.passthrough_panes_.end());
-        pass_dropped_ += other.pass_dropped_;
-        if (other.pass_watermark_ &&
-            (!pass_watermark_ || *other.pass_watermark_ > *pass_watermark_))
-            pass_watermark_ = other.pass_watermark_;
-    }
-}
-
 void QueryProcessor::merge(QueryProcessor&& other) {
     in_ += other.in_;
     kept_ += other.kept_;

@@ -63,12 +63,11 @@ public:
     void set_aggregation_memory_budget(std::size_t bytes);
 
     /// Merge the partial aggregation state of another processor running the
-    /// same query (cross-process reduction, paper §IV-C). Without
-    /// aggregation, appends the other processor's records.
-    void merge(QueryProcessor& other);
-
-    /// Destructive merge: id-based (no serialization round-trip) when both
-    /// processors share one registry; record buffers are moved, not copied.
+    /// same query (cross-process reduction, paper §IV-C); without
+    /// aggregation, append the other processor's records. Destructive:
+    /// id-based (no serialization round-trip) when both processors share
+    /// one registry, else through the name-based serialized form; record
+    /// buffers are moved, not copied.
     void merge(QueryProcessor&& other);
 
     /// Serialized partial state for tree-based reduction across ranks.

@@ -20,6 +20,7 @@
 #include "../engine/parallel_processor.hpp"
 #include "../query/calql.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -153,7 +154,7 @@ int cmd_append(const std::string& history, int argc, char** argv, int first) {
 int cmd_check(const std::string& history, int argc, char** argv, int first,
               std::size_t threads) {
     using namespace calib::benchdiff;
-    GateConfig cfg;
+    Override flags; // the gate settings given on the command line
     std::string overrides_path;
     std::string json_path;
     bool soft    = false;
@@ -162,22 +163,17 @@ int cmd_check(const std::string& history, int argc, char** argv, int first,
     for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string val;
-        if (arg == "--window") {
+        if (arg == "--window" || arg == "--k" || arg == "--rel-floor" ||
+            arg == "--min-samples") {
             if (!need_arg(i, argc, argv, val))
                 return 2;
-            cfg.window = std::strtoull(val.c_str(), nullptr, 10);
-        } else if (arg == "--k") {
-            if (!need_arg(i, argc, argv, val))
-                return 2;
-            cfg.k = std::strtod(val.c_str(), nullptr);
-        } else if (arg == "--rel-floor") {
-            if (!need_arg(i, argc, argv, val))
-                return 2;
-            cfg.rel_floor = std::strtod(val.c_str(), nullptr);
-        } else if (arg == "--min-samples") {
-            if (!need_arg(i, argc, argv, val))
-                return 2;
-            cfg.min_samples = std::strtoull(val.c_str(), nullptr, 10);
+            std::string key = arg.substr(2);
+            std::replace(key.begin(), key.end(), '-', '_');
+            try {
+                parse_gate_setting(key, val, flags);
+            } catch (const std::invalid_argument& e) {
+                return fail_usage((arg + ": " + e.what()).c_str());
+            }
         } else if (arg == "--overrides") {
             if (!need_arg(i, argc, argv, overrides_path))
                 return 2;
@@ -197,7 +193,8 @@ int cmd_check(const std::string& history, int argc, char** argv, int first,
     if (!overrides_path.empty())
         overrides = load_overrides(overrides_path);
 
-    const GateReport report = run_gate(history, cfg, overrides, threads);
+    const GateReport report =
+        run_gate(history, flags.apply(GateConfig{}), overrides, threads);
     write_report_table(std::cout, report, verbose);
 
     if (!json_path.empty()) {

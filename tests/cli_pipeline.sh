@@ -310,6 +310,33 @@ grep -q "commit commitbad" check_bad.txt   # --commit won over the file stamp
 "$CALI_QUERY" --json-input \
     -q "SELECT metric WHERE status=regression FORMAT csv" verdict.json \
     | grep -q "reader.records"
+# gate settings are validated: a bad flag exits 2 instead of turning the
+# gate off, a bad override value names file:line; rel_floor=0 is valid
+for bad in "--window abc" "--window 0" "--min-samples 0" "--k foo" \
+           "--k -1" "--rel-floor nan"; do
+    set +e
+    # shellcheck disable=SC2086
+    "$CALIB_BENCHDIFF" check hist.cali --overrides bd_overrides.txt $bad \
+        > /dev/null 2> bad_flag.txt
+    rc=$?
+    set -e
+    [ "$rc" -eq 2 ] || { echo "check $bad exited $rc, want 2"; exit 1; }
+    grep -q "must be" bad_flag.txt
+done
+set +e
+"$CALIB_BENCHDIFF" check hist.cali --overrides bd_overrides.txt \
+    --rel-floor 0.0 > /dev/null
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || { echo "check --rel-floor 0.0 exited $rc, want 3"; exit 1; }
+printf 'ci/* rel_floor=0.0\nci/reader.records window=0\n' > bd_bad_overrides.txt
+set +e
+"$CALIB_BENCHDIFF" check hist.cali --overrides bd_bad_overrides.txt \
+    > /dev/null 2> bad_file.txt
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "bad override file exited $rc, want 1"; exit 1; }
+grep -q "bd_bad_overrides.txt:2: window must be an integer >= 1" bad_file.txt
 # --soft reports but exits 0 (PR builds)
 "$CALIB_BENCHDIFF" check hist.cali --overrides bd_overrides.txt --soft \
     > /dev/null || { echo "--soft must exit 0"; exit 1; }

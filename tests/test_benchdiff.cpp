@@ -4,7 +4,7 @@
 // flagged by name, a noisy-but-flat series is not).
 #include "benchdiff/analysis.hpp"
 #include "benchdiff/history.hpp"
-#include "benchdiff/jsonvalue.hpp"
+#include "io/json.hpp"
 
 #include "io/jsonreader.hpp"
 
@@ -379,6 +379,55 @@ TEST(BenchdiffGate, LoadsOverrideFile) {
         os << "io/* rel_floor=bogus\n";
     }
     EXPECT_THROW(load_overrides(file.path()), std::runtime_error);
+}
+
+TEST(BenchdiffGate, GateSettingsAreValidated) {
+    // one parse for the check flags and the override file: window and
+    // min_samples are integers >= 1, k and rel_floor finite and >= 0
+    Override ov;
+    EXPECT_TRUE(parse_gate_setting("window", "7", ov));
+    EXPECT_TRUE(parse_gate_setting("min_samples", "1", ov));
+    EXPECT_TRUE(parse_gate_setting("k", "2.5", ov));
+    EXPECT_TRUE(parse_gate_setting("rel_floor", "0.0", ov)); // a valid floor
+    EXPECT_EQ(*ov.window, 7u);
+    EXPECT_EQ(*ov.min_samples, 1u);
+    EXPECT_DOUBLE_EQ(*ov.k, 2.5);
+    EXPECT_DOUBLE_EQ(*ov.rel_floor, 0.0);
+    EXPECT_EQ(ov.apply(GateConfig{}).window, 7u);
+    EXPECT_FALSE(parse_gate_setting("direction", "lower", ov));
+
+    for (const char* bad : {"abc", "0", "-1", "3x", "", "1.5", " 2"}) {
+        EXPECT_THROW(parse_gate_setting("window", bad, ov), std::invalid_argument)
+            << bad;
+        EXPECT_THROW(parse_gate_setting("min_samples", bad, ov),
+                     std::invalid_argument)
+            << bad;
+    }
+    for (const char* bad : {"foo", "-0.5", "inf", "nan", "1e999", "", "0.1x"}) {
+        EXPECT_THROW(parse_gate_setting("k", bad, ov), std::invalid_argument) << bad;
+        EXPECT_THROW(parse_gate_setting("rel_floor", bad, ov), std::invalid_argument)
+            << bad;
+    }
+    // a rejected value leaves the setting as it was
+    EXPECT_EQ(*ov.window, 7u);
+
+    // the override file goes through the same parse and names file:line
+    TempFile file("bad_overrides");
+    for (const char* line : {"io/* window=0", "io/* min_samples=abc", "io/* k=-1",
+                             "io/* rel_floor=nan"}) {
+        {
+            std::ofstream os(file.path());
+            os << "# fine\nio/* rel_floor=0.0\n" << line << "\n";
+        }
+        try {
+            load_overrides(file.path());
+            ADD_FAILURE() << "accepted " << line;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(file.path() + ":3: "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(BenchdiffGate, EmptyOrMissingHistoryYieldsEmptyReport) {

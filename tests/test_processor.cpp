@@ -215,7 +215,7 @@ TEST(QueryProcessor, MergeAggregatingProcessors) {
         (i % 2 ? odd : even).push_back(stream[i]);
     a.add(odd);
     b.add(even);
-    a.merge(b);
+    a.merge(std::move(b));
 
     auto direct = whole.result();
     auto merged = a.result();

@@ -59,6 +59,32 @@ TEST(RecordMap, EqualityRequiresSameSize) {
     EXPECT_FALSE(a == b);
 }
 
+TEST(RecordMap, EqualityMatchesRepeatedNamesAsMultisets) {
+    // {a:1, b:2} and {a:1, a:1}: each field must match a distinct field,
+    // so neither side equals the other
+    RecordMap distinct, repeated;
+    distinct.append("a", Variant(1));
+    distinct.append("b", Variant(2));
+    repeated.append("a", Variant(1));
+    repeated.append("a", Variant(1));
+    EXPECT_FALSE(distinct == repeated);
+    EXPECT_FALSE(repeated == distinct);
+
+    // equal rows that repeat a name compare equal, in any order
+    RecordMap x, y;
+    x.append("a", Variant(1));
+    x.append("k", Variant("v"));
+    x.append("a", Variant(2));
+    y.append("a", Variant(2));
+    y.append("a", Variant(1));
+    y.append("k", Variant("v"));
+    EXPECT_EQ(x, y);
+    EXPECT_EQ(y, x);
+    y.set("a", Variant(1)); // now {a:1, a:1, k:v}
+    EXPECT_FALSE(x == y);
+    EXPECT_FALSE(y == x);
+}
+
 TEST(RecordMap, InterningKeepsNamePointersShared) {
     RecordMap a, b;
     a.append("shared-name", Variant(1));
